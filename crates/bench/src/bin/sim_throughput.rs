@@ -55,11 +55,8 @@ const POPULATION_SMOKE_PAGES: usize = 20_000;
 const DEFAULT_SEED: u64 = 0xBE_AC4;
 /// Default allowed fractional events/sec regression before the gate
 /// fails (generous, because CI wall-clock is noisy; the deterministic
-/// events-count drift gate below is tight).
+/// event count is gated exactly).
 const DEFAULT_TOLERANCE: f64 = 0.35;
-/// Allowed fractional drift in the *deterministic* event count before
-/// the gate demands an explicit `--update-baseline`.
-const EVENTS_DRIFT_TOLERANCE: f64 = 0.10;
 
 /// One measurement in the committed trajectory.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -370,16 +367,14 @@ fn check(fresh: &BenchEntry, baseline_path: &str, tolerance: f64) -> Result<Stri
         ));
     };
     // Deterministic structural gate: the event count of the fixed
-    // workload only moves when the stack itself changes behaviour.
-    let drift = (fresh.events as f64 - base.events as f64).abs() / base.events.max(1) as f64;
-    if drift > EVENTS_DRIFT_TOLERANCE {
+    // workload only moves when the stack itself changes behaviour, so
+    // any difference at all trips it.
+    if fresh.events != base.events {
         return Err(format!(
-            "event count drifted {:.1}% ({} -> {}): the workload's dispatch sequence \
+            "event count changed ({} -> {}): the workload's dispatch sequence \
              changed structurally; if intended, record it with \
              `sim_throughput --smoke --update-baseline {baseline_path}`",
-            drift * 100.0,
-            base.events,
-            fresh.events
+            base.events, fresh.events
         ));
     }
     // Wall-clock gate: events/sec must not regress beyond the tolerance.
@@ -397,11 +392,11 @@ fn check(fresh: &BenchEntry, baseline_path: &str, tolerance: f64) -> Result<Stri
         ));
     }
     Ok(format!(
-        "events/sec {:.0} vs baseline {:.0} ({:+.1}%), event count drift {:.2}%",
+        "events/sec {:.0} vs baseline {:.0} ({:+.1}%), event count {} unchanged",
         fresh.events_per_sec,
         base.events_per_sec,
         (fresh.events_per_sec / base.events_per_sec - 1.0) * 100.0,
-        drift * 100.0
+        fresh.events
     ))
 }
 

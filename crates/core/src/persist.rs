@@ -280,15 +280,19 @@ impl RunDir {
     }
 
     /// Loads the journal entry for `(section, seq)` when it exists and
-    /// its content hash verifies; `None` (→ re-execute) otherwise.
+    /// its content hash verifies; `None` (→ re-execute) otherwise. The
+    /// payload is returned in the buffer the file was read into.
     pub fn load_job(&self, section: &str, seq: usize) -> Option<Vec<u8>> {
-        let bytes = fs::read(self.job_path(section, seq)).ok()?;
+        let mut bytes = fs::read(self.job_path(section, seq)).ok()?;
         let newline = bytes.iter().position(|&b| b == b'\n')?;
         let header = std::str::from_utf8(bytes.get(..newline)?).ok()?;
         let hex = header.strip_prefix("h3cdn-job v1 ")?;
         let want = u64::from_str_radix(hex.trim(), 16).ok()?;
-        let payload = bytes.get(newline + 1..)?;
-        (fnv1a64(payload) == want).then(|| payload.to_vec())
+        if fnv1a64(bytes.get(newline + 1..)?) != want {
+            return None;
+        }
+        bytes.drain(..=newline);
+        Some(bytes)
     }
 
     /// Writes `quarantine.json` atomically.

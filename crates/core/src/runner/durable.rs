@@ -417,10 +417,15 @@ struct QuarantineFile {
 /// duplicate — the file stays bounded by the number of distinct failing
 /// jobs no matter how often a run is resumed (and a pre-existing file
 /// with duplicates is collapsed on the next merge).
+///
+/// The file is only written when the merge changes it: a batch with no
+/// failures on a run without a quarantine file writes nothing, and an
+/// unchanged list is not rewritten (each atomic write costs two fsyncs).
 fn merge_quarantine(run: &RunDir, section: &str, fresh: &[JobFailure]) {
-    let mut by_key: std::collections::BTreeMap<(String, u64), JobFailure> = run
-        .read_quarantine()
-        .and_then(|text| serde_json::from_str::<QuarantineFile>(&text).ok())
+    let on_disk = run.read_quarantine();
+    let mut by_key: std::collections::BTreeMap<(String, u64), JobFailure> = on_disk
+        .as_deref()
+        .and_then(|text| serde_json::from_str::<QuarantineFile>(text).ok())
         .map(|q| q.failures)
         .unwrap_or_default()
         .into_iter()
@@ -434,7 +439,11 @@ fn merge_quarantine(run: &RunDir, section: &str, fresh: &[JobFailure]) {
     let file = QuarantineFile {
         failures: by_key.into_values().collect(),
     };
+    if on_disk.is_none() && file.failures.is_empty() {
+        return;
+    }
     match serde_json::to_string_pretty(&file) {
+        Ok(json) if on_disk.as_deref() == Some(json.as_str()) => {}
         Ok(json) => {
             if let Err(e) = run.write_quarantine(&json) {
                 eprintln!("h3cdn runner: quarantine write failed: {e}");
@@ -653,6 +662,47 @@ mod tests {
         assert_eq!(all.len(), 2);
         assert_eq!(all[0].section, "beta");
         assert_eq!(all[1].section, "gamma");
+        let _ = std::fs::remove_dir_all(run.root());
+    }
+
+    #[test]
+    fn clean_batches_leave_the_quarantine_file_alone() {
+        let run = tmp_run("clean");
+        let ctx = DurableContext::new(1)
+            .with_retry(RetryPolicy {
+                max_attempts: 1,
+                base_backoff_ms: 1,
+                cap_backoff_ms: 1,
+            })
+            .with_checkpoint(run.clone());
+        let cfg = RunnerConfig::serial();
+        let good = || vec![((0u32, 0u32, 0u32), meta(0), move || 5u32)];
+        let _ = run_keyed_durable(&cfg, &ctx, "clean", good());
+        assert!(
+            !run.quarantine_path().exists(),
+            "a clean batch on a fresh run writes no quarantine.json"
+        );
+        let bad = vec![((0u32, 0u32, 0u32), meta(0), move || -> u32 {
+            panic!("fail")
+        })];
+        let _ = run_keyed_durable(&cfg, &ctx, "bad", bad);
+        assert_eq!(read_quarantine(&run).len(), 1);
+        // A clean batch of another section leaves the list unchanged, so
+        // the file is not replaced: a hard link taken before still
+        // shares its contents (an atomic rewrite would split them).
+        let link = run.root().join("quarantine.link");
+        std::fs::hard_link(run.quarantine_path(), &link).expect("hard link");
+        let _ = run_keyed_durable(&cfg, &ctx, "clean", good());
+        let shared = std::fs::OpenOptions::new()
+            .append(true)
+            .open(&link)
+            .and_then(|mut f| std::io::Write::write_all(&mut f, b"\n"))
+            .and_then(|()| std::fs::read_to_string(run.quarantine_path()))
+            .expect("append through the link");
+        assert!(
+            shared.ends_with('\n'),
+            "unchanged quarantine.json rewritten"
+        );
         let _ = std::fs::remove_dir_all(run.root());
     }
 
