@@ -4,8 +4,9 @@
 //! The hot-path overhaul (timer-wheel queue, pooled packets, re-arm
 //! dedup) is only admissible because it is bit-invisible: the JSON an
 //! experiment binary prints must be byte-identical across refactors
-//! and across `--jobs` levels. These tests pin the SHA-256 of two
-//! representative stdout streams. If a change moves these hashes it
+//! and across `--jobs` levels. These tests pin the SHA-256 of the
+//! stdout streams of `fig2` and of every smoke sweep, each at `--jobs 1`
+//! and `--jobs 4`. If a change moves these hashes it
 //! either broke determinism or intentionally changed simulation
 //! semantics — in the latter case, re-record the constants and say so
 //! in the PR.
@@ -18,6 +19,18 @@ const FIG2_SHA256: &str = "7f85ad44402a2426547593ca2a7a5f7fd6b938323ae686a41e503
 /// `fault_matrix --smoke --json` — the fault-injection campaign.
 const FAULT_MATRIX_SHA256: &str =
     "bd71361f74a2bde4b4cf78fe58f939c8ab9c70df1b443b0abc1ff41d6fd65b2b";
+
+/// `edge_overload --smoke --json` — the finite-edge overload sweep.
+const EDGE_OVERLOAD_SHA256: &str =
+    "fe84238f338cc0c8ed5f033b5671260a519cc1691642bf6bd75845d9e3d34970";
+
+/// `path_dynamics --smoke --seed 23 --json` — the path-dynamics sweep
+/// at the seed CI runs it with.
+const PATH_DYNAMICS_SHA256: &str =
+    "826eb044d927b53363d969f0066b0d4a3256331e72268651e327980165fb095c";
+
+/// `population --smoke --json` — the population-scale composition run.
+const POPULATION_SHA256: &str = "507990eefa408e0cf4eaf27dfa12aa8b191a1b8eb3065cfd9aa4bd4009e34bdc";
 
 fn stdout_sha256(bin: &str, args: &[&str]) -> String {
     let out = Command::new(bin).args(args).output().expect("binary runs");
@@ -68,6 +81,43 @@ fn fault_matrix_json_is_jobs_invariant() {
     assert_eq!(
         h, FAULT_MATRIX_SHA256,
         "fault_matrix stdout depends on --jobs"
+    );
+}
+
+/// Asserts `bin args --jobs 1` and `bin args --jobs 4` both print the
+/// golden stream.
+fn assert_golden_at_both_job_counts(bin: &str, args: &[&str], golden: &str) {
+    for jobs in ["1", "4"] {
+        let argv: Vec<&str> = args.iter().copied().chain(["--jobs", jobs]).collect();
+        let h = stdout_sha256(bin, &argv);
+        assert_eq!(h, golden, "{bin} {argv:?} drifted from the golden hash");
+    }
+}
+
+#[test]
+fn edge_overload_smoke_json_is_golden() {
+    assert_golden_at_both_job_counts(
+        env!("CARGO_BIN_EXE_edge_overload"),
+        &["--smoke", "--json"],
+        EDGE_OVERLOAD_SHA256,
+    );
+}
+
+#[test]
+fn path_dynamics_smoke_json_is_golden() {
+    assert_golden_at_both_job_counts(
+        env!("CARGO_BIN_EXE_path_dynamics"),
+        &["--smoke", "--seed", "23", "--json"],
+        PATH_DYNAMICS_SHA256,
+    );
+}
+
+#[test]
+fn population_smoke_json_is_golden() {
+    assert_golden_at_both_job_counts(
+        env!("CARGO_BIN_EXE_population"),
+        &["--smoke", "--json"],
+        POPULATION_SHA256,
     );
 }
 

@@ -17,7 +17,10 @@
 # simulator throughput ratchets (BENCH_sim.json, one row per workload;
 # re-record with
 # `sim_throughput [--population] --smoke --update-baseline BENCH_sim.json --label L`
-# after an intentional perf change), clippy with warnings denied, the
+# after an intentional perf change), the paper-scale output pin
+# (`repro_all --pages 325` must reproduce results/repro_full.txt byte
+# for byte), the perfbench smoke (every workload's output checks and
+# seed-1 digests at the tiny scale), clippy with warnings denied, the
 # h3cdn-lint workspace analyzer (determinism / sans-IO / panic ratchet
 # / layering / hot-path reachability / seed plumbing / dead API), and
 # a formatting check.
@@ -156,6 +159,23 @@ begin "sim_throughput --population --smoke --check (generator ratchet)"
 # pages/seed/reps); events = generated requests, so structural drift
 # in the synthetic-web distributions trips the deterministic gate.
 target/release/sim_throughput --population --smoke --check BENCH_sim.json
+finish
+
+begin "repro_all --pages 325 (paper-scale output pin)"
+# EXPERIMENTS.md quotes the committed paper-scale output; any change
+# that moves a figure must regenerate the file and say which rows moved.
+REPRO_DIR="$(mktemp -d)"
+target/release/repro_all --pages 325 --jobs 2 > "$REPRO_DIR/repro_full.txt"
+cmp results/repro_full.txt "$REPRO_DIR/repro_full.txt"
+echo "    results/repro_full.txt reproduced byte for byte"
+rm -rf "$REPRO_DIR"
+finish
+
+begin "perfbench/smoke.py (benchmark output checks and seed digests)"
+# Builds perfbench against this checkout's crates and runs every
+# workload at the tiny scale; each run must report `correct: true`,
+# which includes its pinned seed-1 digests.
+python3 perfbench/smoke.py
 finish
 
 begin "cargo clippy -D warnings"
