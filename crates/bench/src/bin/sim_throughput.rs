@@ -37,9 +37,14 @@ use std::time::Instant;
 
 use h3cdn::cdn::EdgeConfig;
 use h3cdn::netsim::DynamicsProfile;
-use h3cdn_browser::{run_swarm, visit_page, ProtocolMode, SwarmConfig, VisitConfig};
+use h3cdn_browser::{
+    run_swarm, try_visit_page, BrokenQuicCache, ProtocolMode, SwarmConfig, VisitConfig,
+    VisitOutcome,
+};
 use h3cdn_transport::tls::TicketStore;
-use h3cdn_web::{generate, page_record, Corpus, PopulationSpec, WorkloadSpec};
+use h3cdn_web::{
+    generate, page_record, Corpus, DomainTable, PopulationSpec, Webpage, WorkloadSpec,
+};
 use serde::{Deserialize, Serialize};
 
 /// Default corpus size for a full run.
@@ -195,6 +200,17 @@ fn expect_parse<T: std::str::FromStr>(v: Option<String>, flag: &str) -> T {
     })
 }
 
+/// One visit of the fixed workload, whose pages always complete.
+fn visit(
+    page: &Webpage,
+    domains: &DomainTable,
+    cfg: &VisitConfig,
+    tickets: TicketStore,
+) -> VisitOutcome {
+    try_visit_page(page, domains, cfg, tickets, BrokenQuicCache::new())
+        .expect("the fixed workload's visits complete")
+}
+
 /// One sweep over the fixed workload; returns `(visits, events)`.
 fn sweep(corpus: &Corpus, dynamics: bool, edge: bool) -> (u64, u64) {
     let mut visits = 0u64;
@@ -203,7 +219,7 @@ fn sweep(corpus: &Corpus, dynamics: bool, edge: bool) -> (u64, u64) {
     for mode in [ProtocolMode::H2Only, ProtocolMode::H3Enabled] {
         let cfg = VisitConfig::default().with_mode(mode);
         for page in &corpus.pages {
-            let outcome = visit_page(page, &corpus.domains, &cfg, TicketStore::new());
+            let outcome = visit(page, &corpus.domains, &cfg, TicketStore::new());
             visits += 1;
             events += outcome.stats.sim_events;
         }
@@ -212,7 +228,7 @@ fn sweep(corpus: &Corpus, dynamics: bool, edge: bool) -> (u64, u64) {
     let cfg = VisitConfig::default();
     let mut tickets = TicketStore::new();
     for page in &corpus.pages {
-        let outcome = visit_page(page, &corpus.domains, &cfg, tickets);
+        let outcome = visit(page, &corpus.domains, &cfg, tickets);
         tickets = outcome.tickets;
         visits += 1;
         events += outcome.stats.sim_events;
@@ -225,7 +241,7 @@ fn sweep(corpus: &Corpus, dynamics: bool, edge: bool) -> (u64, u64) {
         let cfg =
             VisitConfig::default().with_path_dynamics(Some(DynamicsProfile::OscillatingBottleneck));
         for page in &corpus.pages {
-            let outcome = visit_page(page, &corpus.domains, &cfg, TicketStore::new());
+            let outcome = visit(page, &corpus.domains, &cfg, TicketStore::new());
             visits += 1;
             events += outcome.stats.sim_events;
         }

@@ -18,16 +18,6 @@ pub(crate) enum SimHost {
     Server(Box<ServerHost>),
 }
 
-impl SimHost {
-    /// Consumes the node, returning the client when it is one.
-    pub fn into_client(self) -> Option<ClientHost> {
-        match self {
-            SimHost::Client(c) => Some(*c),
-            SimHost::Server(_) => None,
-        }
-    }
-}
-
 impl Node for SimHost {
     type Packet = WirePacket;
 

@@ -18,9 +18,11 @@
 //!   need both an H2 and an H3 connection in H3 mode — the
 //!   connection-splitting effect behind the paper's Fig. 7 reuse gap.
 //!
-//! [`visit::visit_page`] assembles the network (per-domain edge paths
+//! [`try_visit_page`] runs one visit as the one-client case of the
+//! [`swarm`] fabric, which assembles the network (per-domain edge paths
 //! from the vantage profile, client access-link rates, optional `tc`-
-//! style loss), runs the event loop to quiescence, and returns the HAR.
+//! style loss), runs the event loop to quiescence, and returns the HAR
+//! or an [`AbortedVisit`].
 //!
 //! [`TicketStore`]: h3cdn_transport::tls::TicketStore
 
@@ -35,10 +37,7 @@ pub mod visit;
 pub use config::{FaultSpec, ProtocolMode, VisitConfig};
 pub use resilience::{BrokenQuicCache, ResilienceStats};
 pub use swarm::{run_swarm, ClientOutcome, SwarmConfig, SwarmOutcome};
-pub use visit::{
-    try_visit_consecutively, try_visit_page, visit_consecutively, visit_page, AbortedVisit,
-    VisitOutcome, VisitStats,
-};
+pub use visit::{try_visit_consecutively, try_visit_page, AbortedVisit, VisitOutcome, VisitStats};
 
 // The deterministic parallel runner in `h3cdn` moves visit inputs and
 // outcomes across worker threads; keep them `Send + Sync` so campaign

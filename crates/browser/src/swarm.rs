@@ -1,27 +1,27 @@
-//! Many concurrent simulated browsers against shared, finite edges.
+//! The visit fabric: one or many simulated browsers against shared,
+//! optionally finite edges.
 //!
-//! A solo [`crate::visit_page`] gives every client its own copy of the
-//! server side; overload never happens by construction. The swarm
-//! drives `clients` browsers — staggered arrivals, one visit each of
-//! the same page — against **one** [`crate::server::ServerHost`] per
-//! domain, optionally governed by a finite-resource
-//! [`EdgeState`](h3cdn_cdn::EdgeState) admission controller. That is
-//! where fallback storms live: an edge past its handshake-CPU or
-//! connection budget refuses new QUIC handshakes, every refused client
-//! marks the domain QUIC-broken and stampedes onto TCP, and the edge
-//! either absorbs the cheap handshakes or sheds those too.
+//! This module is the only place a page's network, paths, catalogs,
+//! hosts and engine are assembled. It drives `clients` browsers —
+//! staggered arrivals, one visit each of the same page — against
+//! **one** [`crate::server::ServerHost`] per domain, optionally
+//! governed by a finite-resource [`EdgeState`] admission controller.
+//! That is where fallback storms live: an edge past its handshake-CPU
+//! or connection budget refuses new QUIC handshakes, every refused
+//! client marks the domain QUIC-broken and stampedes onto TCP, and the
+//! edge either absorbs the cheap handshakes or sheds those too.
 //!
-//! With `clients == 1`, no stagger, and no edge, the swarm reproduces
-//! the solo visit **bit for bit** — same network seed, same node
-//! creation order, same host drive — so every client-side result built
-//! on [`crate::visit_page`] is the control row of every swarm sweep.
+//! A solo [`crate::try_visit_page`] is the one-client case: no stagger,
+//! no edge, and client 0 starts from the caller's ticket store and
+//! broken-QUIC memory. Every client-side result built on it is
+//! therefore the control row of every swarm sweep, bit for bit.
 
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 
 use h3cdn_cdn::{edge, EdgeConfig, EdgeConfigError, EdgeState, EdgeStats};
 use h3cdn_har::HarPage;
 use h3cdn_http::{Catalog, ResponseSpec};
-use h3cdn_netsim::{Engine, LossModel, Network, PathSpec};
+use h3cdn_netsim::{Engine, LossModel, Network, PathSpec, StallReport};
 use h3cdn_sim_core::{SimDuration, SimTime};
 use h3cdn_transport::quic::QuicConfig;
 use h3cdn_transport::tcp::TcpConfig;
@@ -78,6 +78,9 @@ pub struct ClientOutcome {
     pub broken_quic: BrokenQuicCache,
     /// The recorded page; `None` when stranded.
     pub har: Option<HarPage>,
+    /// This client's ticket store after the run (feed it to the next
+    /// visit for consecutive browsing); `None` when stranded.
+    pub tickets: Option<TicketStore>,
 }
 
 /// The whole swarm's result.
@@ -85,11 +88,14 @@ pub struct ClientOutcome {
 pub struct SwarmOutcome {
     /// Per-client outcomes, in arrival order.
     pub clients: Vec<ClientOutcome>,
-    /// Per-domain edge counters, in deterministic domain order (all
-    /// zeroes when the swarm ran without admission control).
+    /// Per-domain edge counters, in deterministic domain order (empty
+    /// when the swarm ran without admission control).
     pub edges: Vec<(String, EdgeStats)>,
     /// Network-level statistics of the whole run.
     pub stats: VisitStats,
+    /// The engine's stall diagnosis when the run ended with open work
+    /// and nothing left to rescue it, or ran out of event budget.
+    pub stall: Option<StallReport>,
 }
 
 impl SwarmOutcome {
@@ -118,7 +124,7 @@ impl SwarmOutcome {
 ///
 /// # Panics
 ///
-/// Panics if the page has no resources (as [`crate::visit_page`]).
+/// Panics if `swarm.clients` is zero or the page has no resources.
 pub fn run_swarm(
     page: &Webpage,
     domains: &DomainTable,
@@ -126,23 +132,46 @@ pub fn run_swarm(
     swarm: &SwarmConfig,
 ) -> Result<SwarmOutcome, EdgeConfigError> {
     assert!(swarm.clients > 0, "a swarm needs at least one client");
-    if let Some(edge_cfg) = &swarm.edge {
-        edge_cfg.validate()?;
-    }
+    let edge = swarm.edge.clone().map(EdgeState::new).transpose()?;
+    Ok(run_fabric(
+        page,
+        domains,
+        cfg,
+        swarm.clients,
+        swarm.arrival_spacing,
+        edge.as_ref(),
+        (TicketStore::new(), BrokenQuicCache::new()),
+    ))
+}
 
+/// Builds the fabric for `page` and runs it: `clients` browsers arriving
+/// `arrival_spacing` apart, one server per domain, each server behind a
+/// copy of `edge` when one is given. Client 0 starts from `client0`'s
+/// ticket store and broken-QUIC memory (what a solo visit carries in);
+/// later clients start empty. A stall (stranded clients) is an outcome,
+/// not an error — overload sweeps measure exactly that.
+pub(crate) fn run_fabric(
+    page: &Webpage,
+    domains: &DomainTable,
+    cfg: &VisitConfig,
+    clients: usize,
+    arrival_spacing: SimDuration,
+    edge: Option<&EdgeState>,
+    client0: (TicketStore, BrokenQuicCache),
+) -> SwarmOutcome {
     // 1. The page's distinct domains, deterministically ordered.
     let used: BTreeSet<h3cdn_web::DomainId> = page.resources.iter().map(|r| r.domain).collect();
 
-    // 2. Network fabric: client nodes first (so client 0 is node 0,
-    //    exactly as in the solo visit), then one server node per domain.
+    // 2. Network fabric: client nodes first, then one server node per
+    //    domain.
     let net_seed = cfg
         .jitter_salt
         .wrapping_mul(31)
         .wrapping_add(page.site as u64)
         .wrapping_add(vantage_index(cfg.vantage) << 32);
     let mut net = Network::new(net_seed);
-    let mut client_nodes = Vec::with_capacity(swarm.clients);
-    for _ in 0..swarm.clients {
+    let mut client_nodes = Vec::with_capacity(clients);
+    for _ in 0..clients {
         let node = net.add_node();
         net.set_ingress_link(node, cfg.downlink, cfg.queue);
         net.set_egress_link(node, cfg.uplink, cfg.queue);
@@ -154,6 +183,9 @@ pub fn run_swarm(
     } else {
         LossModel::iid_percent(total_loss)
     };
+    // The same trace phase drives every client↔edge path: it is the
+    // client's access network that roams/oscillates, not each path
+    // independently.
     let dynamics_trace = cfg.path_dynamics.map(|p| p.trace(net_seed));
     let mut info_of: HashMap<h3cdn_web::DomainId, DomainInfo> = HashMap::new();
     for &d in &used {
@@ -186,6 +218,7 @@ pub fn run_swarm(
     }
 
     // 3. Catalogs, shared across every client of a domain's server.
+    //    Cold caches pay an origin fetch per CDN resource.
     let origin_rtt = domain_rtt(domains, page.origin_domain, cfg.vantage, cfg.jitter_salt);
     let mut catalogs: BTreeMap<h3cdn_web::DomainId, Catalog> = BTreeMap::new();
     for r in &page.resources {
@@ -205,25 +238,33 @@ pub fn run_swarm(
     }
 
     // 4. Hosts, index-aligned with node creation order: clients first.
-    let mut hosts: Vec<SimHost> = Vec::with_capacity(swarm.clients + used.len());
-    let mut arrivals = Vec::with_capacity(swarm.clients);
+    let mut hosts: Vec<SimHost> = Vec::with_capacity(clients + used.len());
+    let mut arrivals = Vec::with_capacity(clients);
+    let mut carried = Some(client0);
     for (i, &client_node) in client_nodes.iter().enumerate() {
-        // Client 0 keeps the solo visit's HAR seed exactly; later
-        // clients fork their own fingerprint streams.
+        // Client 0 (the solo visit's client) uses the page's own HAR
+        // seed; later clients fork their own fingerprint streams.
         let har_seed = (net_seed ^ 0x4841_5221) ^ (i as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        // The last client takes the domain table itself, not a copy.
+        let info = if i + 1 == clients {
+            std::mem::take(&mut info_of)
+        } else {
+            info_of.clone()
+        };
+        let (tickets, broken_quic) = carried.take().unwrap_or_default();
         let mut client = ClientHost::with_alt_svc(
             client_node,
             cfg.mode,
             cfg.cc,
             build_plan(page),
-            info_of.clone(),
-            TicketStore::new(),
+            info,
+            tickets,
             har_seed,
             cfg.alt_svc_discovery,
         );
         client.set_h3_fallback(cfg.h3_fallback);
-        client.set_broken_quic(BrokenQuicCache::new());
-        let start = SimTime::ZERO + swarm.arrival_spacing * (i as u64);
+        client.set_broken_quic(broken_quic);
+        let start = SimTime::ZERO + arrival_spacing * (i as u64);
         client.set_start_at(start);
         arrivals.push(start);
         hosts.push(SimHost::Client(Box::new(client)));
@@ -246,21 +287,19 @@ pub fn run_swarm(
             quic,
             cfg.h3_extra_processing,
         );
-        if let Some(edge_cfg) = &swarm.edge {
-            server.set_edge(EdgeState::new(edge_cfg.clone())?);
+        if let Some(edge) = edge {
+            server.set_edge(edge.clone());
         }
         hosts.push(SimHost::Server(Box::new(server)));
     }
 
-    // 5. Run to quiescence; a stall (stranded clients) is an outcome,
-    //    not an error — overload sweeps measure exactly that.
-    let deadline =
-        SimTime::ZERO + swarm.arrival_spacing * (swarm.clients as u64 - 1) + VISIT_DEADLINE;
+    // 5. Run to quiescence.
+    let deadline = SimTime::ZERO + arrival_spacing * (clients as u64 - 1) + VISIT_DEADLINE;
     let mut engine = Engine::new(net, hosts);
     if let Some(budget) = cfg.max_sim_events {
         engine.set_event_budget(budget);
     }
-    let _ = engine.run_until_checked(deadline);
+    let stall = engine.run_until_checked(deadline).err();
     let sim_events = engine.events_dispatched();
     let (net, hosts) = engine.into_parts();
     let stats = VisitStats {
@@ -274,7 +313,7 @@ pub fn run_swarm(
 
     // Partition back out by variant: node order is clients first, then
     // servers, and a match is total — no positional unwrapping needed.
-    let mut client_hosts = Vec::with_capacity(swarm.clients);
+    let mut client_hosts = Vec::with_capacity(clients);
     let mut server_hosts = Vec::with_capacity(used.len());
     for host in hosts {
         match host {
@@ -282,48 +321,56 @@ pub fn run_swarm(
             SimHost::Server(s) => server_hosts.push(s),
         }
     }
-    let mut clients = Vec::with_capacity(swarm.clients);
+    let mut outcomes = Vec::with_capacity(clients);
     for (client, start) in client_hosts.into_iter().zip(&arrivals) {
         let resilience = client.resilience();
         let broken_quic = client.broken_quic().clone();
         let pending = client.pending_requests();
         if client.is_done() {
-            let (har, _) = client.into_har(page.site, cfg.vantage.name());
-            clients.push(ClientOutcome {
+            let (har, tickets) = client.into_har(page.site, cfg.vantage.name());
+            outcomes.push(ClientOutcome {
                 completed: true,
                 plt_ms: Some(har.plt_ms - start.as_millis_f64()),
                 pending_requests: 0,
                 resilience,
                 broken_quic,
                 har: Some(har),
+                tickets: Some(tickets),
             });
         } else {
-            clients.push(ClientOutcome {
+            outcomes.push(ClientOutcome {
                 completed: false,
                 plt_ms: None,
                 pending_requests: pending,
                 resilience,
                 broken_quic,
                 har: None,
+                tickets: None,
             });
         }
     }
-    let mut edges = Vec::with_capacity(used.len());
-    for (server, &d) in server_hosts.iter().zip(&used) {
-        edges.push((domains.name(d).to_string(), server.edge_stats()));
-    }
-    Ok(SwarmOutcome {
-        clients,
+    let edges = if edge.is_some() {
+        server_hosts
+            .iter()
+            .zip(&used)
+            .map(|(server, &d)| (domains.name(d).to_string(), server.edge_stats()))
+            .collect()
+    } else {
+        Vec::new()
+    };
+    SwarmOutcome {
+        clients: outcomes,
         edges,
         stats,
-    })
+        stall,
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::config::{FaultSpec, ProtocolMode};
-    use crate::visit::visit_page;
+    use crate::visit::try_visit_page;
     use h3cdn_netsim::FaultPlan;
     use h3cdn_web::{generate, WorkloadSpec};
 
@@ -356,7 +403,14 @@ mod tests {
         let corpus = small_corpus();
         for mode in [ProtocolMode::H2Only, ProtocolMode::H3Enabled] {
             let cfg = VisitConfig::default().with_mode(mode);
-            let solo = visit_page(&corpus.pages[0], &corpus.domains, &cfg, TicketStore::new());
+            let solo = try_visit_page(
+                &corpus.pages[0],
+                &corpus.domains,
+                &cfg,
+                TicketStore::new(),
+                BrokenQuicCache::new(),
+            )
+            .expect("the solo visit completes");
             let swarm = run_swarm(
                 &corpus.pages[0],
                 &corpus.domains,
@@ -511,7 +565,14 @@ mod tests {
         assert!(retries > 0, "refused clients must walk the backoff");
         // The refused clients pay the backoff in their PLT: the swarm's
         // slowest client is well behind a lone client on the same page.
-        let solo = visit_page(&corpus.pages[0], &corpus.domains, &cfg, TicketStore::new());
+        let solo = try_visit_page(
+            &corpus.pages[0],
+            &corpus.domains,
+            &cfg,
+            TicketStore::new(),
+            BrokenQuicCache::new(),
+        )
+        .expect("the solo visit completes");
         let worst = out
             .clients
             .iter()
@@ -551,7 +612,7 @@ mod tests {
 
         // Within the TTL the carried memory suppresses H3 even though
         // the next visit's edge is healthy (solo path, no admission).
-        let second = crate::visit::try_visit_page(
+        let second = try_visit_page(
             page,
             &corpus.domains,
             &cfg,
@@ -564,9 +625,8 @@ mod tests {
         // The TTL runs out: the recovered edge gets H3 traffic again.
         carried.advance(crate::resilience::BROKEN_QUIC_TTL);
         assert!(carried.is_empty());
-        let third =
-            crate::visit::try_visit_page(page, &corpus.domains, &cfg, TicketStore::new(), carried)
-                .expect("clean solo visit completes");
+        let third = try_visit_page(page, &corpus.domains, &cfg, TicketStore::new(), carried)
+            .expect("clean solo visit completes");
         assert!(
             third.har.entries_with_protocol("h3").count() > 0,
             "expired memory must allow the H3 retry"

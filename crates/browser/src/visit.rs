@@ -1,26 +1,17 @@
-//! Assembling and running one page visit (or a consecutive sequence).
+//! One page visit (or a consecutive sequence): the one-client case of
+//! the [`crate::swarm`] fabric.
 
-use std::collections::{BTreeMap, BTreeSet, HashMap};
-
-use h3cdn_cdn::{edge, Vantage};
+use h3cdn_cdn::Vantage;
 use h3cdn_har::HarPage;
-use h3cdn_http::{Catalog, ResponseSpec};
-use h3cdn_netsim::{Engine, LossModel, Network, PathSpec, QueueStats};
-use h3cdn_sim_core::{SimDuration, SimRng, SimTime};
-use h3cdn_transport::quic::QuicConfig;
-use h3cdn_transport::tcp::TcpConfig;
+use h3cdn_netsim::QueueStats;
+use h3cdn_sim_core::{SimDuration, SimRng};
 use h3cdn_transport::tls::TicketStore;
 use h3cdn_web::{DomainId, DomainTable, Webpage};
 
-use crate::client::{ClientHost, DomainInfo, PlannedRequest};
+use crate::client::PlannedRequest;
 use crate::config::VisitConfig;
-use crate::host::SimHost;
 use crate::resilience::{BrokenQuicCache, ResilienceStats};
-use crate::server::ServerHost;
-
-/// A tracer over the wire-packet type, as accepted by
-/// [`visit_page_traced`].
-pub(crate) type VisitTracer = h3cdn_netsim::engine::Tracer<h3cdn_transport::WirePacket>;
+use crate::swarm::{run_fabric, ClientOutcome, SwarmOutcome};
 
 /// Result of one visit.
 #[derive(Debug)]
@@ -161,46 +152,15 @@ pub(crate) fn domain_tls12(domains: &DomainTable, domain: DomainId, salt: u64) -
 }
 
 /// Runs one visit of `page` from `cfg.vantage` in `cfg.mode`, starting
-/// from the given ticket store (pass [`TicketStore::new`] for an
-/// isolated measurement).
+/// from the given ticket store and broken-QUIC memory (pass
+/// [`TicketStore::new`] and [`BrokenQuicCache::new`] for an isolated
+/// measurement).
 ///
-/// # Panics
+/// # Errors
 ///
-/// Panics if the page fails to finish within the simulated deadline —
-/// that is a bug in the stack, not a measurement outcome.
-pub fn visit_page(
-    page: &Webpage,
-    domains: &DomainTable,
-    cfg: &VisitConfig,
-    tickets: TicketStore,
-) -> VisitOutcome {
-    visit_page_traced(page, domains, cfg, tickets, None)
-}
-
-/// As [`visit_page`], with an optional packet tracer installed on the
-/// engine (see [`h3cdn_netsim::engine::TraceRecord`]) — the tool for
-/// inspecting exactly what crossed the wire during a visit.
-pub(crate) fn visit_page_traced(
-    page: &Webpage,
-    domains: &DomainTable,
-    cfg: &VisitConfig,
-    tickets: TicketStore,
-    tracer: Option<VisitTracer>,
-) -> VisitOutcome {
-    match run_visit(page, domains, cfg, tickets, BrokenQuicCache::new(), tracer) {
-        Ok(outcome) => outcome,
-        Err(aborted) => panic!(
-            "page {} did not finish within {VISIT_DEADLINE}: {aborted}",
-            page.site
-        ),
-    }
-}
-
-/// As [`visit_page`], but a wedged or stranded visit is a *measurement
-/// outcome* ([`AbortedVisit`]) rather than a bug — the entry point for
-/// fault-injection experiments, where pages legitimately fail. Also
-/// accepts the broken-QUIC memory carried from a previous visit (pass
-/// [`BrokenQuicCache::new`] for an isolated measurement).
+/// A wedged or stranded visit is a *measurement outcome*
+/// ([`AbortedVisit`]), not a bug: fault-injection experiments expect
+/// pages to fail.
 pub fn try_visit_page(
     page: &Webpage,
     domains: &DomainTable,
@@ -208,201 +168,66 @@ pub fn try_visit_page(
     tickets: TicketStore,
     broken_quic: BrokenQuicCache,
 ) -> Result<VisitOutcome, Box<AbortedVisit>> {
-    run_visit(page, domains, cfg, tickets, broken_quic, None)
-}
-
-fn run_visit(
-    page: &Webpage,
-    domains: &DomainTable,
-    cfg: &VisitConfig,
-    tickets: TicketStore,
-    broken_quic: BrokenQuicCache,
-    tracer: Option<VisitTracer>,
-) -> Result<VisitOutcome, Box<AbortedVisit>> {
-    // 1. Collect the page's distinct domains, deterministically ordered.
-    let used: BTreeSet<DomainId> = page.resources.iter().map(|r| r.domain).collect();
-
-    // 2. Network fabric: client + one server node per domain.
-    let net_seed = cfg
-        .jitter_salt
-        .wrapping_mul(31)
-        .wrapping_add(page.site as u64)
-        .wrapping_add(vantage_index(cfg.vantage) << 32);
-    let mut net = Network::new(net_seed);
-    let client_node = net.add_node();
-    net.set_ingress_link(client_node, cfg.downlink, cfg.queue);
-    net.set_egress_link(client_node, cfg.uplink, cfg.queue);
-    let total_loss = cfg.loss_percent + cfg.baseline_loss_percent;
-    let loss = if cfg.bursty_loss {
-        LossModel::bursty_percent(total_loss)
-    } else {
-        LossModel::iid_percent(total_loss)
-    };
-
-    // The same trace phase drives every client↔edge path: it is the
-    // client's access network that roams/oscillates, not each path
-    // independently.
-    let dynamics_trace = cfg.path_dynamics.map(|p| p.trace(net_seed));
-    let mut node_of: HashMap<DomainId, h3cdn_netsim::NodeId> = HashMap::new();
-    let mut info_of: HashMap<DomainId, DomainInfo> = HashMap::new();
-    for &d in &used {
-        let node = net.add_node();
-        let rtt = domain_rtt(domains, d, cfg.vantage, cfg.jitter_salt);
-        net.set_path_symmetric(client_node, node, PathSpec::with_delay(rtt / 2).loss(loss));
-        if let Some(spec) = &cfg.faults {
-            if spec.selects(d.0, cfg.jitter_salt) {
-                net.set_fault_plan_symmetric(client_node, node, spec.plan.clone());
-            }
-        }
-        if let Some(trace) = &dynamics_trace {
-            net.set_path_dynamics_symmetric(client_node, node, trace.clone(), cfg.queue);
-        }
-        node_of.insert(d, node);
-        info_of.insert(
-            d,
-            DomainInfo {
-                name: domains.name(d).to_string(),
-                node,
-                rtt,
-                tls12: domain_tls12(domains, d, cfg.jitter_salt),
-                dns_delay: cfg
-                    .model_dns
-                    .then(|| domain_dns_delay(domains, d, cfg.jitter_salt)),
-                provider: domains.provider(d),
-            },
-        );
-    }
-
-    // 3. Catalogs: each domain's server knows its resources. Cold caches
-    //    pay an origin fetch per CDN resource.
-    let origin_rtt = domain_rtt(domains, page.origin_domain, cfg.vantage, cfg.jitter_salt);
-    let mut catalogs: BTreeMap<DomainId, Catalog> = BTreeMap::new();
-    for r in &page.resources {
-        let mut processing = SimDuration::from_nanos(r.processing_us * 1_000);
-        if cfg.cold_cache && r.hosting.is_cdn() {
-            processing += edge::miss_penalty(origin_rtt);
-        }
-        catalogs.entry(r.domain).or_default().register(
-            r.id,
-            ResponseSpec {
-                header_bytes: r.response_header_bytes,
-                body_bytes: r.body_bytes,
-                processing,
-                priority: priority_of(r.kind),
-            },
-        );
-    }
-
-    // 4. Hosts, index-aligned with node creation order.
-    let plan = build_plan(page);
-    let plan_len = plan.len();
-    let mut client = ClientHost::with_alt_svc(
-        client_node,
-        cfg.mode,
-        cfg.cc,
-        plan,
-        info_of,
-        tickets,
-        net_seed ^ 0x4841_5221, // HAR fingerprint tokens
-        cfg.alt_svc_discovery,
-    );
-    client.set_h3_fallback(cfg.h3_fallback);
-    client.set_broken_quic(broken_quic);
-    let mut hosts: Vec<SimHost> = vec![SimHost::Client(Box::new(client))];
-    for &d in &used {
-        let rtt = domain_rtt(domains, d, cfg.vantage, cfg.jitter_salt);
-        let tcp = TcpConfig {
-            initial_rtt: rtt,
-            cc: cfg.cc,
-            ..TcpConfig::default()
-        };
-        let quic = QuicConfig {
-            initial_rtt: rtt,
-            cc: cfg.cc,
-            ..QuicConfig::default()
-        };
-        hosts.push(SimHost::Server(Box::new(ServerHost::new(
-            catalogs.remove(&d).unwrap_or_default().into_shared(),
-            tcp,
-            quic,
-            cfg.h3_extra_processing,
-        ))));
-    }
-
-    // 5. Run to quiescence.
-    let mut engine = Engine::new(net, hosts);
-    if let Some(budget) = cfg.max_sim_events {
-        engine.set_event_budget(budget);
-    }
-    if let Some(t) = tracer {
-        engine.set_tracer(t);
-    }
-    let run = engine.run_until_checked(SimTime::ZERO + VISIT_DEADLINE);
-    let sim_events = engine.events_dispatched();
-    let (net, hosts) = engine.into_parts();
-    let stats = VisitStats {
-        packets_delivered: net.delivered(),
-        packets_lost: net.lost(),
-        packets_fault_dropped: net.fault_dropped(),
-        packets_dynamics_dropped: net.dynamics_dropped(),
-        queue: net.queue_stats(),
-        sim_events,
-    };
-    let client = hosts
-        .into_iter()
-        .next()
-        .and_then(SimHost::into_client)
-        .expect("client is node 0");
-    if run.is_err() || !client.is_done() {
-        let pending = client.pending_requests();
-        return Err(Box::new(AbortedVisit {
-            site: page.site,
-            pending_requests: pending,
-            completed_requests: plan_len - pending,
-            stats,
-            resilience: client.resilience(),
-            broken_quic: client.broken_quic().clone(),
-            stall: run.err().map(|report| report.to_string()),
-        }));
-    }
-    let resilience = client.resilience();
-    let broken_quic = client.broken_quic().clone();
-    let (har, tickets) = client.into_har(page.site, cfg.vantage.name());
-    Ok(VisitOutcome {
-        har,
-        tickets,
+    let SwarmOutcome {
+        clients,
         stats,
-        resilience,
-        broken_quic,
-    })
+        stall,
+        ..
+    } = run_fabric(
+        page,
+        domains,
+        cfg,
+        1,
+        SimDuration::ZERO,
+        None,
+        (tickets, broken_quic),
+    );
+    let stall = stall.map(|report| report.to_string());
+    match clients.into_iter().next() {
+        Some(ClientOutcome {
+            har: Some(har),
+            tickets: Some(tickets),
+            resilience,
+            broken_quic,
+            ..
+        }) if stall.is_none() => Ok(VisitOutcome {
+            har,
+            tickets,
+            stats,
+            resilience,
+            broken_quic,
+        }),
+        // A stall, a stranded client, or (never in practice: the fabric
+        // returns one outcome per client) no client at all, which reads
+        // as nothing loaded.
+        client => {
+            let requests = page.resources.len();
+            let pending = client.as_ref().map_or(requests, |c| c.pending_requests);
+            let (resilience, broken_quic) = client
+                .map(|c| (c.resilience, c.broken_quic))
+                .unwrap_or_default();
+            Err(Box::new(AbortedVisit {
+                site: page.site,
+                pending_requests: pending,
+                completed_requests: requests - pending,
+                stats,
+                resilience,
+                broken_quic,
+                stall,
+            }))
+        }
+    }
 }
 
 /// Visits pages in order, carrying the ticket store forward — the
 /// paper's §VI-D consecutive-browsing methodology (connections torn
-/// down, caches cleared, session state kept).
-pub fn visit_consecutively(
-    pages: &[&Webpage],
-    domains: &DomainTable,
-    cfg: &VisitConfig,
-    mut tickets: TicketStore,
-) -> (Vec<HarPage>, TicketStore) {
-    let mut hars = Vec::with_capacity(pages.len());
-    for page in pages {
-        let outcome = visit_page(page, domains, cfg, tickets);
-        tickets = outcome.tickets;
-        hars.push(outcome.har);
-    }
-    (hars, tickets)
-}
-
-/// As [`visit_consecutively`], but an aborted page is a typed outcome
-/// rather than a panic: the pass stops at the first [`AbortedVisit`],
-/// which reports *which* page in the sequence failed. The crash-safe
-/// runner's entry point for consecutive passes.
+/// down, caches cleared, session state kept). The crash-safe runner's
+/// entry point for consecutive passes.
 ///
 /// # Errors
 ///
-/// The first page that wedges or strands aborts the pass.
+/// The first page that wedges or strands aborts the pass; its
+/// [`AbortedVisit`] reports *which* page in the sequence failed.
 pub fn try_visit_consecutively(
     pages: &[&Webpage],
     domains: &DomainTable,
@@ -456,6 +281,7 @@ mod tests {
     use crate::config::{FaultSpec, ProtocolMode};
     use crate::resilience::BROKEN_QUIC_TTL;
     use h3cdn_netsim::FaultPlan;
+    use h3cdn_sim_core::SimTime;
     use h3cdn_web::{generate, WorkloadSpec};
 
     fn small_corpus() -> h3cdn_web::Corpus {
@@ -470,15 +296,21 @@ mod tests {
             .expect("an H3-capable page exists")
     }
 
+    /// An isolated visit that must complete.
+    fn completed_visit(page: &Webpage, domains: &DomainTable, cfg: &VisitConfig) -> VisitOutcome {
+        try_visit_page(
+            page,
+            domains,
+            cfg,
+            TicketStore::new(),
+            BrokenQuicCache::new(),
+        )
+        .expect("the visit completes")
+    }
+
     fn visit(corpus: &h3cdn_web::Corpus, site: usize, mode: ProtocolMode) -> HarPage {
         let cfg = VisitConfig::default().with_mode(mode);
-        visit_page(
-            &corpus.pages[site],
-            &corpus.domains,
-            &cfg,
-            TicketStore::new(),
-        )
-        .har
+        completed_visit(&corpus.pages[site], &corpus.domains, &cfg).har
     }
 
     #[test]
@@ -574,7 +406,8 @@ mod tests {
         let cfg = VisitConfig::default();
         let pages: Vec<&Webpage> = corpus.pages.iter().take(3).collect();
         let (hars, tickets) =
-            visit_consecutively(&pages, &corpus.domains, &cfg, TicketStore::new());
+            try_visit_consecutively(&pages, &corpus.domains, &cfg, TicketStore::new())
+                .expect("the pass completes");
         // First page: no prior tickets, nothing resumed.
         assert_eq!(hars[0].resumed_connection_count(), 0);
         // Later pages share CDN domains with earlier ones → resumption.
@@ -590,20 +423,18 @@ mod tests {
     fn loss_increases_plt() {
         let corpus = small_corpus();
         let page = &corpus.pages[2];
-        let clean = visit_page(
+        let clean = completed_visit(
             page,
             &corpus.domains,
             &VisitConfig::default().with_mode(ProtocolMode::H2Only),
-            TicketStore::new(),
         )
         .har;
-        let lossy = visit_page(
+        let lossy = completed_visit(
             page,
             &corpus.domains,
             &VisitConfig::default()
                 .with_mode(ProtocolMode::H2Only)
                 .with_loss_percent(2.0),
-            TicketStore::new(),
         )
         .har;
         assert!(
@@ -671,7 +502,7 @@ mod tests {
             alt_svc_discovery: true,
             ..VisitConfig::default()
         };
-        let har = visit_page(page, &corpus.domains, &cfg, TicketStore::new()).har;
+        let har = completed_visit(page, &corpus.domains, &cfg).har;
         // Per H3-capable domain: the earliest-dispatched entry went H2
         // (discovery), and H3 appears only after it.
         let mut h3_started = std::collections::BTreeMap::new();
@@ -696,13 +527,7 @@ mod tests {
             assert!(h2_t < h3_t, "{domain}: H2 discovery must precede H3");
         }
         // And the warm-cache default uses H3 immediately (more H3 entries).
-        let warm = visit_page(
-            page,
-            &corpus.domains,
-            &VisitConfig::default(),
-            TicketStore::new(),
-        )
-        .har;
+        let warm = completed_visit(page, &corpus.domains, &VisitConfig::default()).har;
         assert!(
             warm.entries_with_protocol("h3").count() > har.entries_with_protocol("h3").count(),
             "cold discovery must cost some H3 requests"
@@ -717,17 +542,11 @@ mod tests {
         // pre-fallback stack exactly.
         let corpus = small_corpus();
         let page = &corpus.pages[0];
-        let base = visit_page(
-            page,
-            &corpus.domains,
-            &VisitConfig::default(),
-            TicketStore::new(),
-        );
-        let with_fb = visit_page(
+        let base = completed_visit(page, &corpus.domains, &VisitConfig::default());
+        let with_fb = completed_visit(
             page,
             &corpus.domains,
             &VisitConfig::default().with_h3_fallback(true),
-            TicketStore::new(),
         );
         assert_eq!(base.har.plt_ms, with_fb.har.plt_ms);
         assert_eq!(base.stats, with_fb.stats);
@@ -799,7 +618,7 @@ mod tests {
         let h2_cfg = VisitConfig::default()
             .with_mode(ProtocolMode::H2Only)
             .with_faults(FaultSpec::everywhere(FaultPlan::udp_blackhole_always()));
-        let h2 = visit_page(page, &corpus.domains, &h2_cfg, TicketStore::new());
+        let h2 = completed_visit(page, &corpus.domains, &h2_cfg);
         assert_eq!(h2.stats.packets_fault_dropped, 0);
         assert!(
             outcome.har.plt_ms > h2.har.plt_ms,
@@ -913,13 +732,7 @@ mod tests {
     fn dns_is_paid_once_per_domain() {
         let corpus = small_corpus();
         let page = &corpus.pages[0];
-        let har = visit_page(
-            page,
-            &corpus.domains,
-            &VisitConfig::default(),
-            TicketStore::new(),
-        )
-        .har;
+        let har = completed_visit(page, &corpus.domains, &VisitConfig::default()).har;
         // Per domain, exactly the entries dispatched before resolution
         // completes carry dns time; at least the first one does.
         let mut per_domain: std::collections::BTreeMap<&str, Vec<f64>> = Default::default();
@@ -940,7 +753,7 @@ mod tests {
             model_dns: false,
             ..VisitConfig::default()
         };
-        let har2 = visit_page(page, &corpus.domains, &no_dns, TicketStore::new()).har;
+        let har2 = completed_visit(page, &corpus.domains, &no_dns).har;
         assert!(har2.entries.iter().all(|e| e.timing.dns_ms == 0.0));
         assert!(har2.plt_ms < har.plt_ms);
     }
@@ -960,8 +773,8 @@ mod tests {
             baseline_loss_percent: 0.0,
             ..VisitConfig::default()
         };
-        let warm = visit_page(page, &corpus.domains, &warm_cfg, TicketStore::new()).har;
-        let cold = visit_page(page, &corpus.domains, &cold_cfg, TicketStore::new()).har;
+        let warm = completed_visit(page, &corpus.domains, &warm_cfg).har;
+        let cold = completed_visit(page, &corpus.domains, &cold_cfg).har;
         // Every CDN entry pays the origin fetch in its wait phase; the
         // page-level PLT may or may not move (the critical path can be an
         // origin chain, which caches don't touch).
@@ -986,8 +799,8 @@ mod tests {
         let page = h3_rich_page(&corpus);
         for profile in DynamicsProfile::ALL {
             let cfg = VisitConfig::default().with_path_dynamics(Some(profile));
-            let a = visit_page(page, &corpus.domains, &cfg, TicketStore::new());
-            let b = visit_page(page, &corpus.domains, &cfg, TicketStore::new());
+            let a = completed_visit(page, &corpus.domains, &cfg);
+            let b = completed_visit(page, &corpus.domains, &cfg);
             assert_eq!(
                 a.har.entries.len(),
                 page.request_count(),
@@ -1001,14 +814,9 @@ mod tests {
             );
             // The dynamic bottleneck slows the page relative to the
             // static gigabit fabric.
-            let static_plt = visit_page(
-                page,
-                &corpus.domains,
-                &VisitConfig::default(),
-                TicketStore::new(),
-            )
-            .har
-            .plt_ms;
+            let static_plt = completed_visit(page, &corpus.domains, &VisitConfig::default())
+                .har
+                .plt_ms;
             assert!(
                 a.har.plt_ms > static_plt,
                 "{profile}: dynamics must cost time ({static_plt:.1}ms vs {:.1}ms)",
@@ -1020,13 +828,8 @@ mod tests {
     #[test]
     fn no_dynamics_means_no_dynamics_drops() {
         let corpus = small_corpus();
-        let stats = visit_page(
-            &corpus.pages[0],
-            &corpus.domains,
-            &VisitConfig::default(),
-            TicketStore::new(),
-        )
-        .stats;
+        let stats =
+            completed_visit(&corpus.pages[0], &corpus.domains, &VisitConfig::default()).stats;
         assert_eq!(stats.packets_dynamics_dropped, 0);
     }
 
@@ -1049,12 +852,12 @@ mod tests {
         let page = &corpus.pages[6];
         let base =
             VisitConfig::default().with_path_dynamics(Some(DynamicsProfile::OscillatingBottleneck));
-        let cubic = visit_page(page, &corpus.domains, &base, TicketStore::new()).stats;
+        let cubic = completed_visit(page, &corpus.domains, &base).stats;
         let bbr_cfg = VisitConfig {
             cc: CcAlgorithm::Bbr,
             ..base
         };
-        let bbr = visit_page(page, &corpus.domains, &bbr_cfg, TicketStore::new()).stats;
+        let bbr = completed_visit(page, &corpus.domains, &bbr_cfg).stats;
         assert!(
             bbr.queue.mean_sojourn_ms() < cubic.queue.mean_sojourn_ms(),
             "BBR must queue less than Cubic: {:.2}ms vs {:.2}ms",
@@ -1070,9 +873,9 @@ mod tests {
         let page = &corpus.pages[6];
         let base =
             VisitConfig::default().with_path_dynamics(Some(DynamicsProfile::OscillatingBottleneck));
-        let tail = visit_page(page, &corpus.domains, &base, TicketStore::new()).stats;
+        let tail = completed_visit(page, &corpus.domains, &base).stats;
         let codel_cfg = base.with_queue(QueueDiscipline::CoDel);
-        let codel = visit_page(page, &corpus.domains, &codel_cfg, TicketStore::new()).stats;
+        let codel = completed_visit(page, &corpus.domains, &codel_cfg).stats;
         assert!(
             codel.queue.mean_sojourn_ms() < tail.queue.mean_sojourn_ms(),
             "CoDel must bound sojourn: {:.2}ms vs droptail {:.2}ms",

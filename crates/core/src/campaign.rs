@@ -173,8 +173,8 @@ impl MeasurementCampaign {
     /// Aborted visits surface as `String`-payload panics (stall-backed
     /// ones carry [`STALLED_PREFIX`]); under a durable context the
     /// runner's `catch_unwind` shell converts them into typed
-    /// [`JobFailure`]s, otherwise they abort the process exactly as the
-    /// pre-durable `visit_page` panic did.
+    /// [`JobFailure`]s, otherwise they abort the process exactly as an
+    /// aborted visit did before the durable runner existed.
     fn page_visit(&self, site: usize, cfg: &VisitConfig) -> HarPage {
         if self.config.inject_panic_site == Some(site) {
             std::panic::panic_any(format!(
@@ -521,7 +521,7 @@ impl MeasurementCampaign {
 /// wedged event loop) carry [`STALLED_PREFIX`], stranded-but-live
 /// aborts a plain `aborted visit:` message. Without a durable context
 /// the panic propagates and aborts the process, preserving the
-/// pre-durable `visit_page` behavior.
+/// behavior from before the durable runner existed.
 fn abort_to_panic(aborted: &AbortedVisit) -> ! {
     let msg = if aborted.stall.is_some() {
         format!("{STALLED_PREFIX}{aborted}")

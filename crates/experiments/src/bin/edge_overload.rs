@@ -21,7 +21,7 @@ fn main() {
     let mut args: Vec<String> = std::env::args().skip(1).collect();
     let smoke = args.iter().any(|a| a == "--smoke");
     args.retain(|a| a != "--smoke");
-    let mut opts = h3cdn_experiments::parse_args(args.into_iter());
+    let mut opts = h3cdn_experiments::parse_args_with(args.into_iter(), "--smoke   ");
     if smoke {
         opts.pages = opts.pages.min(4);
     }

@@ -25,7 +25,7 @@
 //! with the freshly generated remainder — bit-identical to an
 //! uninterrupted run at any `--jobs`.
 
-use h3cdn_experiments::population;
+use h3cdn_experiments::{population, usage_error};
 use h3cdn_web::PopulationSpec;
 
 fn main() {
@@ -33,9 +33,8 @@ fn main() {
     let smoke = args.iter().any(|a| a == "--smoke");
     args.retain(|a| a != "--smoke");
     let window = extract_window(&mut args).unwrap_or(population::DEFAULT_WINDOW);
-    assert!(window > 0, "--window expects a positive integer");
     let pages_given = args.iter().any(|a| a == "--pages");
-    let mut opts = h3cdn_experiments::parse_args(args.into_iter());
+    let mut opts = h3cdn_experiments::parse_args_with(args.into_iter(), "--smoke   --window N   ");
     if !pages_given {
         opts.pages = if smoke { 10_000 } else { 100_000 };
     }
@@ -59,13 +58,15 @@ fn main() {
 }
 
 /// Pulls `--window N` out of the raw argument list (it is not part of
-/// the common flag set).
+/// the common flag set); a missing, malformed or zero `N` is a usage
+/// error.
 fn extract_window(args: &mut Vec<String>) -> Option<usize> {
     let at = args.iter().position(|a| a == "--window")?;
-    assert!(at + 1 < args.len(), "--window expects a value");
-    let value = args[at + 1]
-        .parse()
-        .expect("--window expects a positive integer");
+    let value = args
+        .get(at + 1)
+        .and_then(|v| v.parse().ok())
+        .filter(|&n: &usize| n > 0)
+        .unwrap_or_else(|| usage_error("--window expects a positive integer"));
     args.drain(at..=at + 1);
     Some(value)
 }

@@ -17,6 +17,7 @@
 //! quarantine was environmental rather than deterministic.
 
 use h3cdn::ProtocolMode;
+use h3cdn_experiments::usage_error;
 
 fn main() {
     let mut args: Vec<String> = std::env::args().skip(1).collect();
@@ -26,11 +27,9 @@ fn main() {
     while i < args.len() {
         match args[i].as_str() {
             "--site" => {
-                let v = args.get(i + 1).unwrap_or_else(|| {
-                    panic!("--site expects a corpus index");
-                });
+                let v = args.get(i + 1).map(String::as_str).unwrap_or_default();
                 site = Some(v.parse().unwrap_or_else(|_| {
-                    panic!("--site expects a corpus index, got {v:?}");
+                    usage_error(&format!("--site expects a corpus index, got {v:?}"))
                 }));
                 args.drain(i..i + 2);
             }
@@ -39,23 +38,26 @@ fn main() {
                 mode = match v {
                     "h2" => ProtocolMode::H2Only,
                     "h3" => ProtocolMode::H3Enabled,
-                    other => panic!("--mode expects h2|h3, got {other:?}"),
+                    other => usage_error(&format!("--mode expects h2|h3, got {other:?}")),
                 };
                 args.drain(i..i + 2);
             }
             _ => i += 1,
         }
     }
-    let site = site.unwrap_or_else(|| panic!("visit_one needs --site N (see --help)"));
-    let opts = h3cdn_experiments::parse_args(args.into_iter());
+    let opts = h3cdn_experiments::parse_args_with(args.into_iter(), "--site N   --mode h2|h3   ");
+    let Some(site) = site else {
+        usage_error("visit_one needs --site N (see --help)")
+    };
     // Plain pool on purpose: a deterministic failure must panic here,
     // visibly, instead of being quarantined a second time.
     let campaign = h3cdn_experiments::campaign(&opts);
-    assert!(
-        site < campaign.corpus().pages.len(),
-        "--site {site} is out of range for a {}-page corpus",
-        campaign.corpus().pages.len()
-    );
+    let pages = campaign.corpus().pages.len();
+    if site >= pages {
+        usage_error(&format!(
+            "--site {site} is out of range for a {pages}-page corpus"
+        ));
+    }
     let har = campaign.visit(site, opts.vantage, mode);
     println!(
         "site {site} {} @ {}: plt {:.1} ms, {} entries, {} reused conn, {} resumed conn",

@@ -28,7 +28,10 @@
 //! --max-sim-events N   deterministic per-visit sim-event watchdog
 //!                (changes results for budget-exceeding visits, so it
 //!                is part of the resume fingerprint)
+//! --help         print the flags and exit 0
 //! ```
+//!
+//! A malformed command line prints one line to stderr and exits 2.
 //!
 //! Every binary runs its campaign under the crash-safe execution layer
 //! (panic isolation + deterministic retries); checkpointing to disk
@@ -168,94 +171,137 @@ impl Options {
     }
 }
 
+/// The common flags, as `--help` lists them.
+const COMMON_FLAGS: &str = "--pages N   --seed S   --vantage Utah|Wisconsin|Clemson   \
+     --json   --jobs N   --progress   --resume   --run-id ID   --results-dir D   \
+     --max-retries N   --wall-budget-ms MS   --max-sim-events N";
+
+/// A command line an experiment binary will not run.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub(crate) enum ArgsError {
+    /// `--help` or `-h`: print the usage and exit 0.
+    Help,
+    /// A malformed flag or value, as a one-line message.
+    Invalid(String),
+}
+
 /// Parses `std::env::args`-style flags.
 ///
-/// # Panics
+/// # Errors
 ///
-/// Panics with a usage message on malformed flags — appropriate for a
-/// CLI entry point.
-pub fn parse_args(args: impl Iterator<Item = String>) -> Options {
-    let mut opts = Options::default();
-    let mut args = args.peekable();
-    fn take(opts: &mut Options, args: &mut dyn Iterator<Item = String>) -> Option<String> {
+/// [`ArgsError::Help`] on `--help`/`-h`; [`ArgsError::Invalid`] on an
+/// unknown flag or a missing or malformed value.
+pub(crate) fn try_parse_args(mut args: impl Iterator<Item = String>) -> Result<Options, ArgsError> {
+    fn value<T: std::str::FromStr>(
+        opts: &mut Options,
+        args: &mut dyn Iterator<Item = String>,
+        expects: &str,
+    ) -> Result<T, ArgsError> {
         let v = args.next();
         if let Some(v) = &v {
             opts.argv.push(v.clone());
         }
-        v
+        v.and_then(|v| v.parse().ok())
+            .ok_or_else(|| ArgsError::Invalid(expects.to_owned()))
     }
+    let mut opts = Options::default();
     while let Some(arg) = args.next() {
         opts.argv.push(arg.clone());
         match arg.as_str() {
             "--pages" => {
-                opts.pages = take(&mut opts, &mut args)
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or_else(|| panic!("--pages expects a positive integer"));
+                opts.pages = value(&mut opts, &mut args, "--pages expects a positive integer")?;
             }
-            "--seed" => {
-                opts.seed = take(&mut opts, &mut args)
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or_else(|| panic!("--seed expects an integer"));
-            }
+            "--seed" => opts.seed = value(&mut opts, &mut args, "--seed expects an integer")?,
             "--vantage" => {
-                let v = take(&mut opts, &mut args).unwrap_or_default();
+                let v: String = value(&mut opts, &mut args, "--vantage expects a name")?;
                 opts.vantage = match v.to_ascii_lowercase().as_str() {
                     "utah" => Vantage::Utah,
                     "wisconsin" => Vantage::Wisconsin,
                     "clemson" => Vantage::Clemson,
-                    other => panic!("unknown vantage {other:?} (Utah|Wisconsin|Clemson)"),
+                    other => {
+                        return Err(ArgsError::Invalid(format!(
+                            "unknown vantage {other:?} (Utah|Wisconsin|Clemson)"
+                        )))
+                    }
                 };
             }
             "--json" => opts.json = true,
             "--jobs" => {
-                opts.jobs = take(&mut opts, &mut args)
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or_else(|| panic!("--jobs expects a non-negative integer"));
+                opts.jobs = value(
+                    &mut opts,
+                    &mut args,
+                    "--jobs expects a non-negative integer",
+                )?;
             }
             "--progress" => opts.progress = true,
             "--resume" => opts.resume = true,
             "--run-id" => {
-                opts.run_id = Some(
-                    take(&mut opts, &mut args)
-                        .unwrap_or_else(|| panic!("--run-id expects an identifier")),
-                );
+                opts.run_id = Some(value(
+                    &mut opts,
+                    &mut args,
+                    "--run-id expects an identifier",
+                )?);
             }
             "--results-dir" => {
-                opts.results_dir = take(&mut opts, &mut args)
-                    .unwrap_or_else(|| panic!("--results-dir expects a directory"));
+                opts.results_dir =
+                    value(&mut opts, &mut args, "--results-dir expects a directory")?;
             }
             "--max-retries" => {
-                opts.max_retries = take(&mut opts, &mut args)
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or_else(|| panic!("--max-retries expects a positive integer"));
+                opts.max_retries = value(
+                    &mut opts,
+                    &mut args,
+                    "--max-retries expects a positive integer",
+                )?;
             }
             "--wall-budget-ms" => {
-                opts.wall_budget_ms = Some(
-                    take(&mut opts, &mut args)
-                        .and_then(|v| v.parse().ok())
-                        .unwrap_or_else(|| panic!("--wall-budget-ms expects milliseconds")),
-                );
+                opts.wall_budget_ms = Some(value(
+                    &mut opts,
+                    &mut args,
+                    "--wall-budget-ms expects milliseconds",
+                )?);
             }
             "--max-sim-events" => {
-                opts.max_sim_events = Some(
-                    take(&mut opts, &mut args)
-                        .and_then(|v| v.parse().ok())
-                        .unwrap_or_else(|| panic!("--max-sim-events expects a positive integer")),
-                );
+                opts.max_sim_events = Some(value(
+                    &mut opts,
+                    &mut args,
+                    "--max-sim-events expects a positive integer",
+                )?);
             }
-            "--help" | "-h" => {
-                println!(
-                    "flags: --pages N   --seed S   --vantage Utah|Wisconsin|Clemson   \
-                     --json   --jobs N   --progress   --resume   --run-id ID   \
-                     --results-dir D   --max-retries N   --wall-budget-ms MS   \
-                     --max-sim-events N"
-                );
-                std::process::exit(0);
+            "--help" | "-h" => return Err(ArgsError::Help),
+            other => {
+                return Err(ArgsError::Invalid(format!(
+                    "unknown flag {other:?}; try --help"
+                )))
             }
-            other => panic!("unknown flag {other:?}; try --help"),
         }
     }
-    opts
+    Ok(opts)
+}
+
+/// Parses the common flags the way a CLI should: `--help` prints
+/// `own_flags` (the binary's extra flags, if any) and the common flags,
+/// then exits 0; a malformed command line is a [`usage_error`].
+pub fn parse_args_with(args: impl Iterator<Item = String>, own_flags: &str) -> Options {
+    match try_parse_args(args) {
+        Ok(opts) => opts,
+        Err(ArgsError::Help) => {
+            println!("flags: {own_flags}{COMMON_FLAGS}");
+            std::process::exit(0);
+        }
+        Err(ArgsError::Invalid(msg)) => usage_error(&msg),
+    }
+}
+
+/// [`parse_args_with`] for a binary that takes only the common flags.
+pub fn parse_args(args: impl Iterator<Item = String>) -> Options {
+    parse_args_with(args, "")
+}
+
+/// Prints `msg` as one line on stderr and exits 2, the usage-error
+/// status.
+pub fn usage_error(msg: &str) -> ! {
+    eprintln!("error: {msg}");
+    std::process::exit(2);
 }
 
 /// Builds the campaign for the parsed options (corpus scale, seed and
@@ -395,7 +441,8 @@ mod tests {
     use super::*;
 
     fn parse(s: &[&str]) -> Options {
-        parse_args(s.iter().map(std::string::ToString::to_string))
+        try_parse_args(s.iter().map(std::string::ToString::to_string))
+            .expect("the command line parses")
     }
 
     #[test]
@@ -422,10 +469,49 @@ mod tests {
         assert!(o.json);
     }
 
+    fn parse_err(s: &[&str]) -> ArgsError {
+        try_parse_args(s.iter().map(std::string::ToString::to_string))
+            .expect_err("the command line is rejected")
+    }
+
     #[test]
-    #[should_panic(expected = "unknown flag")]
     fn unknown_flag_rejected() {
-        let _ = parse(&["--bogus"]);
+        assert_eq!(
+            parse_err(&["--bogus"]),
+            ArgsError::Invalid("unknown flag \"--bogus\"; try --help".to_owned())
+        );
+    }
+
+    #[test]
+    fn missing_or_malformed_values_rejected() {
+        for (args, want) in [
+            (&["--pages"][..], "--pages expects a positive integer"),
+            (
+                &["--pages", "many"][..],
+                "--pages expects a positive integer",
+            ),
+            (
+                &["--jobs", "-1"][..],
+                "--jobs expects a non-negative integer",
+            ),
+            (&["--vantage"][..], "--vantage expects a name"),
+        ] {
+            assert_eq!(
+                parse_err(args),
+                ArgsError::Invalid(want.to_owned()),
+                "{args:?}"
+            );
+        }
+        assert!(matches!(
+            parse_err(&["--vantage", "mars"]),
+            ArgsError::Invalid(msg) if msg.contains("unknown vantage")
+        ));
+    }
+
+    #[test]
+    fn help_is_not_an_error_message() {
+        assert_eq!(parse_err(&["--pages", "3", "--help"]), ArgsError::Help);
+        assert_eq!(parse_err(&["-h"]), ArgsError::Help);
     }
 
     #[test]

@@ -544,7 +544,7 @@ pub(crate) fn check_dead_pub(table: &SymbolTable, out: &mut Vec<Finding>) {
 /// The set of pub symbol names considered alive for dead-`pub`.
 ///
 /// Name-counting alone is not enough: a consumer can hold an API value
-/// without ever spelling its type's name (`let out = visit_page(..)`,
+/// without ever spelling its type's name (`let out = try_visit_page(..)?`,
 /// `report.rows[0]`, `Box<dyn CongestionController>` behind a factory),
 /// and binary targets are separate crates that only see `pub` items.
 /// So liveness is seeded from externally-referenced pub symbols (any

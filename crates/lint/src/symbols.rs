@@ -78,7 +78,7 @@ pub(crate) struct FnSym {
     pub is_pub: bool,
     /// Identifiers appearing in the signature (param types and return
     /// type). A pub fn's callers consume these types structurally —
-    /// `let x = visit_page(..)` never names `VisitOutcome` — so the
+    /// `let x = try_visit_page(..)?` never names `VisitOutcome` — so the
     /// dead-`pub` rule propagates liveness through them.
     pub sig_idents: Vec<String>,
     /// 0-based body line range (inclusive); `None` for bodyless decls.

@@ -11,25 +11,6 @@ use crate::node::{Node, NodeCtx, NodeId, Outgoing};
 /// rather than a silent hang.
 const DEFAULT_EVENT_BUDGET: u64 = 500_000_000;
 
-/// A record handed to the engine's [tracer](Engine::set_tracer) for every
-/// routed packet.
-#[derive(Debug)]
-pub struct TraceRecord<'a, P> {
-    /// Sending node.
-    pub src: NodeId,
-    /// Destination node.
-    pub dst: NodeId,
-    /// When the packet was handed to the network.
-    pub sent_at: SimTime,
-    /// Delivery time, or `None` when the network dropped it.
-    pub delivery: Option<SimTime>,
-    /// The packet itself.
-    pub packet: &'a P,
-}
-
-/// The boxed callback type accepted by [`Engine::set_tracer`].
-pub type Tracer<P> = Box<dyn FnMut(TraceRecord<'_, P>)>;
-
 /// Why an [`Engine::run_checked`] call could not finish cleanly.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum StallReason {
@@ -124,7 +105,6 @@ pub struct Engine<N: Node> {
     outbox_scratch: Vec<Outgoing<N::Packet>>,
     events_dispatched: u64,
     event_budget: u64,
-    tracer: Option<Tracer<N::Packet>>,
 }
 
 impl<N: Node> std::fmt::Debug for Engine<N>
@@ -138,7 +118,6 @@ where
             .field("nodes", &self.nodes.len())
             .field("pending_events", &self.queue.len())
             .field("events_dispatched", &self.events_dispatched)
-            .field("traced", &self.tracer.is_some())
             .finish()
     }
 }
@@ -181,15 +160,7 @@ impl<N: Node> Engine<N> {
             outbox_scratch: Vec::new(),
             events_dispatched: 0,
             event_budget: DEFAULT_EVENT_BUDGET,
-            tracer: None,
         }
-    }
-
-    /// Installs a packet tracer invoked for every routed packet (delivered
-    /// or dropped). Useful for debugging protocol behaviour; costs one
-    /// closure call per packet.
-    pub fn set_tracer(&mut self, tracer: Tracer<N::Packet>) {
-        self.tracer = Some(tracer);
     }
 
     /// Current virtual time.
@@ -301,21 +272,6 @@ impl<N: Node> Engine<N> {
     }
 
     fn run_inner(&mut self, deadline: SimTime, check_stalls: bool) -> Result<SimTime, StallReport> {
-        // Monomorphize the dispatch loop over "is a tracer installed", so
-        // the untraced hot path carries no per-packet branch or dynamic
-        // call for the (almost always absent) tracer.
-        if self.tracer.is_some() {
-            self.run_inner_impl::<true>(deadline, check_stalls)
-        } else {
-            self.run_inner_impl::<false>(deadline, check_stalls)
-        }
-    }
-
-    fn run_inner_impl<const TRACED: bool>(
-        &mut self,
-        deadline: SimTime,
-        check_stalls: bool,
-    ) -> Result<SimTime, StallReport> {
         self.arm_all();
         while let Some((at, ev)) = self.queue.pop_at_or_before(deadline) {
             self.now = at;
@@ -334,7 +290,7 @@ impl<N: Node> Engine<N> {
                     if let Some(target) = self.nodes.get_mut(dst.index()) {
                         target.handle_packet(packet, &mut ctx);
                     }
-                    self.flush_outbox_impl::<TRACED>(dst);
+                    self.flush_outbox(dst);
                     self.rearm(dst);
                 }
                 Ev::Wakeup { node, gen } => {
@@ -348,7 +304,7 @@ impl<N: Node> Engine<N> {
                     if let Some(target) = self.nodes.get_mut(node.index()) {
                         target.handle_wakeup(&mut ctx);
                     }
-                    self.flush_outbox_impl::<TRACED>(node);
+                    self.flush_outbox(node);
                     self.rearm(node);
                 }
             }
@@ -411,14 +367,6 @@ impl<N: Node> Engine<N> {
     }
 
     fn flush_outbox(&mut self, src: NodeId) {
-        if self.tracer.is_some() {
-            self.flush_outbox_impl::<true>(src);
-        } else {
-            self.flush_outbox_impl::<false>(src);
-        }
-    }
-
-    fn flush_outbox_impl<const TRACED: bool>(&mut self, src: NodeId) {
         // Swap the outbox with a spare buffer first: routing borrows the
         // network mutably and scheduling borrows the queue. The spare is
         // swapped back after the drain, so steady-state flushes allocate
@@ -429,21 +377,10 @@ impl<N: Node> Engine<N> {
         std::mem::swap(&mut self.outbox, &mut outgoing);
         for out in outgoing.drain(..) {
             let class = N::classify(&out.packet);
-            let delivery = self
-                .net
-                .route_classified(src, out.dst, out.wire_size, class, self.now);
-            if TRACED {
-                if let Some(tracer) = self.tracer.as_mut() {
-                    tracer(TraceRecord {
-                        src,
-                        dst: out.dst,
-                        sent_at: self.now,
-                        delivery,
-                        packet: &out.packet,
-                    });
-                }
-            }
-            if let Some(at) = delivery {
+            if let Some(at) =
+                self.net
+                    .route_classified(src, out.dst, out.wire_size, class, self.now)
+            {
                 self.queue.schedule(
                     at,
                     Ev::Arrival {
@@ -748,40 +685,6 @@ mod tests {
         let mut net = Network::new(1);
         net.add_node();
         let _ = Engine::<Counter>::new(net, vec![]);
-    }
-
-    #[test]
-    fn tracer_sees_deliveries_and_drops() {
-        use std::cell::RefCell;
-        use std::rc::Rc;
-        let mut net = Network::new(4);
-        let a = net.add_node();
-        let b = net.add_node();
-        net.set_path(
-            a,
-            b,
-            PathSpec::with_delay(SimDuration::from_millis(1))
-                .loss(crate::LossModel::Iid { p: 1.0 }),
-        );
-        net.set_path(b, a, PathSpec::with_delay(SimDuration::from_millis(1)));
-        let mut e = Engine::new(net, vec![Counter::default(), Counter::default()]);
-        let seen: Rc<RefCell<Vec<(u32, bool)>>> = Rc::new(RefCell::new(Vec::new()));
-        let sink = seen.clone();
-        e.set_tracer(Box::new(move |r| {
-            sink.borrow_mut().push((*r.packet, r.delivery.is_some()));
-        }));
-        // a→b drops (certain loss); b→a delivers.
-        e.with_node(NodeId(0), |_n, ctx| {
-            ctx.send(NodeId(1), 7, ByteCount::new(100));
-        });
-        e.with_node(NodeId(1), |_n, ctx| {
-            ctx.send(NodeId(0), 9, ByteCount::new(100));
-        });
-        e.run();
-        let seen = seen.borrow();
-        assert_eq!(seen.len(), 2);
-        assert!(seen.contains(&(7, false)), "dropped packet traced");
-        assert!(seen.contains(&(9, true)), "delivered packet traced");
     }
 
     #[test]

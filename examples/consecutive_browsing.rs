@@ -5,7 +5,9 @@
 //! cargo run --release --example consecutive_browsing
 //! ```
 
-use h3cdn::browser::{visit_consecutively, ProtocolMode, VisitConfig};
+use h3cdn::browser::{
+    try_visit_consecutively, try_visit_page, BrokenQuicCache, ProtocolMode, VisitConfig,
+};
 use h3cdn::transport::tls::TicketStore;
 use h3cdn::web::{generate, Webpage, WorkloadSpec};
 
@@ -17,21 +19,33 @@ fn main() {
     // session-ticket store across visits (connections themselves are torn
     // down between pages, exactly as in the paper).
     let cfg = VisitConfig::default().with_mode(ProtocolMode::H3Enabled);
-    let (with_state, _) = visit_consecutively(&pages, &corpus.domains, &cfg, TicketStore::new());
+    let (with_state, _) =
+        try_visit_consecutively(&pages, &corpus.domains, &cfg, TicketStore::new())
+            .expect("clean pages complete");
 
     // Contrast: the same pages visited in isolation (state cleared).
+    let isolated_plt = |page: &Webpage| {
+        try_visit_page(
+            page,
+            &corpus.domains,
+            &cfg,
+            TicketStore::new(),
+            BrokenQuicCache::new(),
+        )
+        .expect("clean pages complete")
+        .har
+        .plt_ms
+    };
     println!(
         "{:<6} {:>10} {:>12} {:>14} {:>12}",
         "page", "providers", "isolated", "consecutive", "resumed"
     );
     for (i, page) in corpus.pages.iter().enumerate() {
-        let isolated =
-            h3cdn::browser::visit_page(page, &corpus.domains, &cfg, TicketStore::new()).har;
         println!(
             "{:<6} {:>10} {:>10.1}ms {:>12.1}ms {:>12}",
             i,
             page.providers_used().len(),
-            isolated.plt_ms,
+            isolated_plt(page),
             with_state[i].plt_ms,
             with_state[i].resumed_connection_count(),
         );
@@ -41,11 +55,7 @@ fn main() {
         .iter()
         .enumerate()
         .skip(1)
-        .map(|(i, page)| {
-            let isolated =
-                h3cdn::browser::visit_page(page, &corpus.domains, &cfg, TicketStore::new()).har;
-            isolated.plt_ms - with_state[i].plt_ms
-        })
+        .map(|(i, page)| isolated_plt(page) - with_state[i].plt_ms)
         .sum::<f64>()
         / (corpus.pages.len() - 1) as f64;
     println!("\nmean PLT saved by resumption on pages 1..: {saved:.1} ms");

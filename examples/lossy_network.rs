@@ -6,7 +6,7 @@
 //! cargo run --release --example lossy_network
 //! ```
 
-use h3cdn::browser::{visit_page, ProtocolMode, VisitConfig};
+use h3cdn::browser::{try_visit_page, BrokenQuicCache, ProtocolMode, VisitConfig};
 use h3cdn::transport::tls::TicketStore;
 use h3cdn::web::{generate, WorkloadSpec};
 
@@ -20,27 +20,24 @@ fn main() {
     for loss in [0.0, 0.5, 1.0, 2.0] {
         let mut h2_total = 0.0;
         let mut h3_total = 0.0;
+        let plt = |page, mode| {
+            let cfg = VisitConfig::default()
+                .with_mode(mode)
+                .with_loss_percent(loss);
+            try_visit_page(
+                page,
+                &corpus.domains,
+                &cfg,
+                TicketStore::new(),
+                BrokenQuicCache::new(),
+            )
+            .expect("lossy pages still complete")
+            .har
+            .plt_ms
+        };
         for page in &corpus.pages {
-            let h2 = visit_page(
-                page,
-                &corpus.domains,
-                &VisitConfig::default()
-                    .with_mode(ProtocolMode::H2Only)
-                    .with_loss_percent(loss),
-                TicketStore::new(),
-            )
-            .har;
-            let h3 = visit_page(
-                page,
-                &corpus.domains,
-                &VisitConfig::default()
-                    .with_mode(ProtocolMode::H3Enabled)
-                    .with_loss_percent(loss),
-                TicketStore::new(),
-            )
-            .har;
-            h2_total += h2.plt_ms;
-            h3_total += h3.plt_ms;
+            h2_total += plt(page, ProtocolMode::H2Only);
+            h3_total += plt(page, ProtocolMode::H3Enabled);
         }
         let n = corpus.pages.len() as f64;
         println!(

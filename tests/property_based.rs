@@ -2,11 +2,22 @@
 //! seeds, vantages and loss rates must never break the invariants the
 //! analysis relies on.
 
-use h3cdn::browser::{visit_page, ProtocolMode, VisitConfig};
+use h3cdn::browser::{try_visit_page, BrokenQuicCache, ProtocolMode, VisitConfig, VisitOutcome};
 use h3cdn::transport::tls::TicketStore;
-use h3cdn::web::{generate, WorkloadSpec};
+use h3cdn::web::{generate, DomainTable, Webpage, WorkloadSpec};
 use h3cdn::Vantage;
 use proptest::prelude::*;
+
+/// A visit that must complete: loss and vantage never strand a page.
+fn visit(
+    page: &Webpage,
+    domains: &DomainTable,
+    cfg: &VisitConfig,
+    tickets: TicketStore,
+) -> VisitOutcome {
+    try_visit_page(page, domains, cfg, tickets, BrokenQuicCache::new())
+        .expect("the visit completes")
+}
 
 fn vantage_strategy() -> impl Strategy<Value = Vantage> {
     prop_oneof![
@@ -58,9 +69,8 @@ proptest! {
         // Exact-loss accounting below requires disabling the natural
         // baseline loss the default config models.
         cfg.baseline_loss_percent = 0.0;
-        let out = visit_page(&corpus.pages[site], &corpus.domains, &cfg, TicketStore::new());
-        // The visit finished (visit_page asserts internally) and yields a
-        // structurally complete HAR.
+        let out = visit(&corpus.pages[site], &corpus.domains, &cfg, TicketStore::new());
+        // The visit finished and yields a structurally complete HAR.
         prop_assert_eq!(out.har.entries.len(), corpus.pages[site].request_count());
         prop_assert!(out.har.plt_ms > 0.0);
         for e in &out.har.entries {
@@ -83,10 +93,10 @@ proptest! {
         // at least one connection on every page (shared domains recur).
         let mut tickets = TicketStore::new();
         for page in &corpus.pages {
-            tickets = visit_page(page, &corpus.domains, &cfg, tickets).tickets;
+            tickets = visit(page, &corpus.domains, &cfg, tickets).tickets;
         }
         for page in &corpus.pages {
-            let out = visit_page(page, &corpus.domains, &cfg, tickets);
+            let out = visit(page, &corpus.domains, &cfg, tickets);
             tickets = out.tickets;
             prop_assert!(
                 out.har.resumed_connection_count() > 0,
