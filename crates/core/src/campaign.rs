@@ -40,11 +40,11 @@ pub struct CampaignConfig {
     /// Parallel execution settings for multi-visit APIs. Results are
     /// bit-identical for every worker count; this only changes speed.
     pub runner: RunnerConfig,
-    /// Crash-safe execution: panic isolation, deterministic retries,
-    /// and (when the context carries a checkpoint directory)
+    /// Crash-safe execution: panic isolation, quarantine on the first
+    /// panic, and (when the context carries a checkpoint directory)
     /// journal/resume. `None` (the default) runs on the plain
-    /// deterministic pool — a panicking visit then aborts the process,
-    /// exactly as before this layer existed.
+    /// deterministic pool — a panicking visit is then re-raised on the
+    /// caller's thread and aborts the run, at any worker count.
     pub durable: Option<DurableContext>,
     /// Chaos hook: deliberately panic any visit of this site (set from
     /// `H3CDN_PANIC_SITE` by the experiment binaries). Exists to prove
@@ -248,7 +248,7 @@ impl MeasurementCampaign {
     where
         K: Ord + Send,
         T: Send + Serialize + Deserialize,
-        F: Fn() -> T + Send + Sync,
+        F: FnOnce() -> T + Send,
     {
         let Some(ctx) = &self.config.durable else {
             let plain: Vec<(K, F)> = jobs.into_iter().map(|(k, _, f)| (k, f)).collect();

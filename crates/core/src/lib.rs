@@ -48,9 +48,9 @@ pub mod selector;
 pub use campaign::{CampaignConfig, MeasurementCampaign};
 pub use persist::shard::ShardedJournal;
 pub use persist::{atomic_write, Fingerprint, Manifest, RunDir};
-pub use runner::durable::{DurableContext, JobFailure, JobMeta, RetryPolicy};
+pub use runner::durable::{DurableContext, JobFailure, JobMeta};
 pub use runner::streaming::{run_keyed_streaming, StreamStats};
-pub use runner::{run_keyed, run_keyed_values, RunnerConfig};
+pub use runner::{run_keyed, RunnerConfig};
 
 pub use h3cdn_browser as browser;
 pub use h3cdn_cdn as cdn;

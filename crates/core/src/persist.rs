@@ -14,8 +14,7 @@
 //! * [`RunDir`] — the per-run checkpoint directory
 //!   (`results/.runs/<run-id>/`): a `manifest.json` carrying the run's
 //!   configuration [`Fingerprint`], one content-hashed journal file per
-//!   completed job, and the `quarantine.json` of jobs that exhausted
-//!   their retries.
+//!   completed job, and the `quarantine.json` of jobs that panicked.
 //! * [`Fingerprint`] — the resume gate. A resumed run only reuses
 //!   journal entries when seed, scenario, workspace git hash and the
 //!   semantic CLI arguments all match; anything else wipes the journal
@@ -174,7 +173,7 @@ fn read_git_head(git: &Path) -> Option<String> {
 /// manifest.json           version + fingerprint + argv
 /// jobs/<section>/NNNNNN.job   one content-hashed entry per job
 /// shards/shard-NNNNN.bin  compact binary journal (population runs)
-/// quarantine.json         jobs that exhausted their retries
+/// quarantine.json         jobs that panicked or stalled
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RunDir {

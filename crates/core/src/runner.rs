@@ -4,9 +4,10 @@
 //! `(WorkloadSpec, seed, vantage, VisitConfig)`, which makes campaigns
 //! embarrassingly parallel. This module models campaign work as *keyed
 //! jobs* — a totally ordered `JobKey` plus a closure producing a
-//! result — executes them on a [`std::thread::scope`] worker pool, and
-//! merges results **in key order**, so the output of every campaign API
-//! is bit-identical to the serial path regardless of worker count.
+//! result — executes them on the one worker pool,
+//! [`streaming::run_keyed_streaming`], and merges results **in key
+//! order**, so the output of every campaign API is bit-identical to the
+//! serial path regardless of worker count.
 //!
 //! Worker count resolution, in priority order:
 //!
@@ -16,16 +17,17 @@
 //!
 //! Long sweeps get lightweight observability: with
 //! [`RunnerConfig::quiet`](RunnerConfig) unset (`--progress` /
-//! `H3CDN_PROGRESS=1`), the runner prints jobs-done and throughput
+//! `H3CDN_PROGRESS=1`), the pool prints jobs-done and throughput
 //! counters to stderr. Progress output never touches stdout, so
 //! rendered artifacts stay byte-stable either way.
 
 pub mod durable;
 pub mod streaming;
 
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Mutex, Once};
+use std::sync::Once;
 use std::time::Instant;
+
+use streaming::run_keyed_streaming;
 
 /// Key identifying one campaign job: `(vantage, site, variant)`.
 ///
@@ -138,123 +140,73 @@ fn jobs_from_env() -> usize {
     }
 }
 
-/// Runs keyed jobs on a scoped worker pool and returns `(key, result)`
+/// Runs keyed jobs on the worker pool and returns `(key, result)`
 /// pairs sorted by key.
 ///
-/// Execution order is arbitrary (workers race over an atomic cursor);
-/// **merge order is total and stable**: results come back in ascending
-/// key order, with equal keys kept in submission order. With pure job
-/// closures the output is therefore identical for any worker count,
-/// including `1` (which runs inline without spawning).
-pub fn run_keyed<K, T, F>(config: &RunnerConfig, mut jobs: Vec<(K, F)>) -> Vec<(K, T)>
+/// This is [`run_keyed_streaming`] with a sink that collects into a
+/// `Vec` and a window as large as the job set, so no worker ever waits
+/// on the merge. **Merge order is total and stable**: results come
+/// back in ascending key order, with equal keys kept in submission
+/// order. With pure job closures the output is therefore identical for
+/// any worker count, including `1` (which runs inline without
+/// spawning).
+///
+/// # Panics
+///
+/// Re-raises the first panicking job's panic, in key order, on the
+/// caller's thread.
+pub fn run_keyed<K, T, F>(config: &RunnerConfig, jobs: Vec<(K, F)>) -> Vec<(K, T)>
 where
     K: Ord + Send,
     T: Send,
     F: FnOnce() -> T + Send,
 {
-    // Stable sort: ascending key, ties by submission order. Sorting
-    // *before* execution makes the merge order independent of both the
-    // worker count and any scheduling race.
-    jobs.sort_by(|a, b| a.0.cmp(&b.0));
-    let total = jobs.len();
-    let workers = config.effective_jobs().min(total.max(1));
-
-    let mut keys = Vec::with_capacity(total);
-    let mut fns = Vec::with_capacity(total);
-    for (k, f) in jobs {
-        keys.push(k);
-        fns.push(f);
-    }
-
-    // Wall-clock is used for the jobs/s progress line on stderr only;
-    // it never feeds into simulated time or results.
-    // h3cdn-lint: allow(wall-clock)
-    let started = Instant::now();
-    let results: Vec<T> = if workers <= 1 || total <= 1 {
-        fns.into_iter().map(|f| f()).collect()
-    } else {
-        execute_parallel(config, fns, workers, &started)
-    };
-
-    if !config.quiet {
-        let secs = started.elapsed().as_secs_f64().max(1e-9);
-        eprintln!(
-            "h3cdn runner: {total} jobs on {workers} worker(s) in {secs:.2}s \
-             ({:.1} jobs/s)",
-            total as f64 / secs
-        );
-    }
-
-    keys.into_iter().zip(results).collect()
+    let mut out = Vec::with_capacity(jobs.len());
+    let window = jobs.len().max(1);
+    run_keyed_streaming(config, jobs, window, |k, v| out.push((k, v)));
+    out
 }
 
-/// As [`run_keyed`], discarding keys: results in key order.
-pub fn run_keyed_values<K, T, F>(config: &RunnerConfig, jobs: Vec<(K, F)>) -> Vec<T>
-where
-    K: Ord + Send,
-    T: Send,
-    F: FnOnce() -> T + Send,
-{
-    run_keyed(config, jobs)
-        .into_iter()
-        .map(|(_, v)| v)
-        .collect()
-}
-
-/// Worker-pool execution: an atomic cursor hands each slot index to
-/// exactly one worker; results land in per-slot cells, preserving the
-/// sorted job order irrespective of completion order.
-fn execute_parallel<T, F>(
-    config: &RunnerConfig,
-    fns: Vec<F>,
+/// The `--progress` counters on stderr: a jobs-done line every tenth
+/// of a batch, and a throughput line for the whole batch at its end.
+struct Progress {
+    total: usize,
     workers: usize,
-    started: &Instant,
-) -> Vec<T>
-where
-    T: Send,
-    F: FnOnce() -> T + Send,
-{
-    let total = fns.len();
-    let tasks: Vec<Mutex<Option<F>>> = fns.into_iter().map(|f| Mutex::new(Some(f))).collect();
-    let slots: Vec<Mutex<Option<T>>> = (0..total).map(|_| Mutex::new(None)).collect();
-    let cursor = AtomicUsize::new(0);
-    let done = AtomicUsize::new(0);
-    let progress_every = (total / 10).max(1);
+    done: usize,
+    started: Instant,
+}
 
-    std::thread::scope(|scope| {
-        for _ in 0..workers {
-            scope.spawn(|| loop {
-                let i = cursor.fetch_add(1, Ordering::Relaxed);
-                if i >= total {
-                    break;
-                }
-                let f = tasks[i]
-                    .lock()
-                    .expect("task mutex")
-                    .take()
-                    .expect("each job is taken exactly once");
-                let out = f();
-                *slots[i].lock().expect("slot mutex") = Some(out);
-                let d = done.fetch_add(1, Ordering::Relaxed) + 1;
-                if !config.quiet && (d.is_multiple_of(progress_every) || d == total) {
-                    let secs = started.elapsed().as_secs_f64().max(1e-9);
-                    eprintln!(
-                        "h3cdn runner: {d}/{total} jobs done ({:.1} jobs/s)",
-                        d as f64 / secs
-                    );
-                }
-            });
-        }
-    });
-
-    slots
-        .into_iter()
-        .map(|m| {
-            m.into_inner()
-                .expect("slot mutex")
-                .expect("every slot was filled")
+impl Progress {
+    /// Counters for a batch, or `None` when the runner is quiet.
+    fn start(config: &RunnerConfig, total: usize, workers: usize) -> Option<Self> {
+        (!config.quiet).then(|| Progress {
+            total,
+            workers,
+            done: 0,
+            // Wall-clock is used for the jobs/s progress lines on
+            // stderr only; it never feeds into simulated time or
+            // results. h3cdn-lint: allow(wall-clock)
+            started: Instant::now(),
         })
-        .collect()
+    }
+
+    /// Counts one delivered result.
+    fn tick(&mut self) {
+        self.done += 1;
+        let secs = self.started.elapsed().as_secs_f64().max(1e-9);
+        let rate = self.done as f64 / secs;
+        if self.done == self.total {
+            eprintln!(
+                "h3cdn runner: {} jobs on {} worker(s) in {secs:.2}s ({rate:.1} jobs/s)",
+                self.total, self.workers
+            );
+        } else if self.done.is_multiple_of((self.total / 10).max(1)) {
+            eprintln!(
+                "h3cdn runner: {}/{} jobs done ({rate:.1} jobs/s)",
+                self.done, self.total
+            );
+        }
+    }
 }
 
 #[cfg(test)]
@@ -290,7 +242,10 @@ mod tests {
             let cfg = RunnerConfig::default().with_jobs(jobs);
             let submitted: Vec<((u32, u32, u32), _)> =
                 (0..16u32).map(|i| ((0, 0, 0), move || i)).collect();
-            let out = run_keyed_values(&cfg, submitted);
+            let out: Vec<u32> = run_keyed(&cfg, submitted)
+                .into_iter()
+                .map(|(_, v)| v)
+                .collect();
             assert_eq!(out, (0..16).collect::<Vec<_>>(), "jobs={jobs}");
         }
     }
@@ -301,13 +256,13 @@ mod tests {
         let empty: Vec<(JobKey, fn() -> u32)> = Vec::new();
         assert!(run_keyed(&cfg, empty).is_empty());
         let one = vec![((1, 2, 3), || 42u32)];
-        assert_eq!(run_keyed_values(&cfg, one), vec![42]);
+        assert_eq!(run_keyed(&cfg, one), vec![((1, 2, 3), 42)]);
     }
 
     #[test]
     fn worker_count_exceeding_jobs_is_fine() {
         let cfg = RunnerConfig::default().with_jobs(64);
-        let out = run_keyed_values(&cfg, identity_jobs(&[(0, 0, 0), (0, 1, 0)]));
+        let out = run_keyed(&cfg, identity_jobs(&[(0, 0, 0), (0, 1, 0)]));
         assert_eq!(out.len(), 2);
     }
 

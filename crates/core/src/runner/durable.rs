@@ -1,6 +1,6 @@
 //! Crash-safe execution on top of the deterministic runner:
-//! checkpoint/resume, per-job panic isolation with deterministic
-//! retries, quarantine, and watchdog budgets.
+//! checkpoint/resume, per-job panic isolation, quarantine, and
+//! watchdog budgets.
 //!
 //! [`run_keyed_durable`] has the same merge contract as
 //! [`run_keyed`](crate::runner::run_keyed) — jobs are stably sorted by
@@ -16,65 +16,37 @@
 //!    ordinal in the sorted order and the section hash covers every
 //!    job's identity, a journal entry can only ever be replayed into
 //!    the exact job that produced it.
-//! 2. **Panic isolation + quarantine.** Each attempt runs under
+//! 2. **Panic isolation + quarantine.** Each job runs once under
 //!    [`std::panic::catch_unwind`]; a panic becomes a typed
-//!    [`JobFailure`] instead of taking down the worker pool. Failed
-//!    jobs are retried with bounded exponential backoff whose delays
-//!    are *derived from the run seed* (recorded in the failure, so a
-//!    quarantined job documents its own retry schedule); after
-//!    `max_attempts` the failure lands in `quarantine.json` and the
-//!    merge reports it instead of aborting the campaign.
+//!    [`JobFailure`] instead of taking down the worker pool. The
+//!    failure lands in `quarantine.json` and the merge reports it
+//!    instead of aborting the campaign. A panicking job is never
+//!    re-run: it is a pure function of its inputs, so a second run
+//!    would only panic again.
 //! 3. **Watchdog budgets.** The deterministic watchdog is the
 //!    sim-event budget (`VisitConfig::max_sim_events` → the engine's
 //!    `StallReport`), which reaches this layer as a stalled-visit
 //!    panic. The optional *wall-clock* budget is a second, inherently
 //!    nondeterministic net for genuinely wedged host code: a completed
-//!    attempt that overran the budget is demoted to a stalled
+//!    job that overran the budget is demoted to a stalled
 //!    [`JobFailure`] (off by default; enabling it trades bit-stable
 //!    failure sets for liveness).
 //!
 //! The `AssertUnwindSafe` boundary is sound here because job closures
-//! are pure functions of captured immutable state: a panicking attempt
-//! abandons all of its partial state, and the retry re-runs from the
-//! same inputs.
+//! are pure functions of captured immutable state: a panicking job
+//! abandons all of its partial state, and nothing else observes it.
 
 use std::panic::{self, AssertUnwindSafe};
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use serde::{Deserialize, Serialize};
 
-use crate::persist::{fnv1a64, RunDir};
+use crate::persist::RunDir;
 use crate::runner::{run_keyed, RunnerConfig};
 
 /// Prefix campaigns put on stalled-visit panic payloads so the durable
 /// layer can mark the resulting [`JobFailure`] as stall-backed.
 pub(crate) const STALLED_PREFIX: &str = "stalled visit: ";
-
-/// Retry schedule for panicking jobs. Delays are deterministic
-/// functions of `(run seed, section, seq, attempt)` — see
-/// [`backoff_ms`] — bounded by `cap_backoff_ms`.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct RetryPolicy {
-    /// Total attempts per job (first try included); at least 1.
-    pub max_attempts: u32,
-    /// Base delay before the first retry, in milliseconds.
-    pub base_backoff_ms: u64,
-    /// Upper bound on any single delay, in milliseconds.
-    pub cap_backoff_ms: u64,
-}
-
-impl Default for RetryPolicy {
-    /// Three attempts, 10 ms base, 250 ms cap — campaigns are pure, so
-    /// retries exist to survive *environmental* flukes (memory
-    /// pressure, a wedged allocator), not to wait out remote services.
-    fn default() -> Self {
-        RetryPolicy {
-            max_attempts: 3,
-            base_backoff_ms: 10,
-            cap_backoff_ms: 250,
-        }
-    }
-}
 
 /// One quarantined job: everything needed to understand and replay the
 /// failure.
@@ -86,18 +58,14 @@ pub struct JobFailure {
     pub seq: u64,
     /// Human-readable job identity (site, mode, vantage, config hash).
     pub label: String,
-    /// The final panic message (or watchdog diagnosis).
+    /// The panic message (or watchdog diagnosis).
     pub error: String,
     /// Whether the failure is stall-backed (sim-event budget exhausted
     /// / all-stalled engine / wall-clock budget overrun) rather than a
     /// plain panic.
     pub stalled: bool,
-    /// Attempts consumed (= `max_attempts` unless the watchdog fired).
-    pub attempts: u32,
-    /// The run seed the retry schedule was derived from.
+    /// The seed of the run the job failed in.
     pub run_seed: u64,
-    /// The deterministic backoff delays that were applied, in order.
-    pub backoff_ms: Vec<u64>,
     /// A minimal deterministic repro command line for this job.
     pub repro: String,
 }
@@ -116,35 +84,26 @@ pub struct JobMeta {
 /// Shared durability settings for a run.
 #[derive(Debug, Clone)]
 pub struct DurableContext {
-    /// Seed the retry backoff schedule derives from (conventionally
-    /// the campaign seed).
+    /// Seed of the run (conventionally the campaign seed), recorded in
+    /// every [`JobFailure`].
     pub run_seed: u64,
-    /// Retry schedule for panicking jobs.
-    pub retry: RetryPolicy,
-    /// Optional wall-clock budget per attempt, in milliseconds.
+    /// Optional wall-clock budget per job, in milliseconds.
     /// **Nondeterministic** demotion — see the module docs. `None`
     /// (default) disables it.
     pub wall_budget_ms: Option<u64>,
-    /// Checkpoint directory; `None` keeps isolation + retries but
+    /// Checkpoint directory; `None` keeps isolation and quarantine but
     /// journals nothing.
     pub checkpoint: Option<RunDir>,
 }
 
 impl DurableContext {
-    /// Isolation + deterministic retries, no checkpointing.
+    /// Isolation and quarantine, no checkpointing.
     pub fn new(run_seed: u64) -> Self {
         DurableContext {
             run_seed,
-            retry: RetryPolicy::default(),
             wall_budget_ms: None,
             checkpoint: None,
         }
-    }
-
-    /// Returns a copy with the given retry policy.
-    pub fn with_retry(mut self, retry: RetryPolicy) -> Self {
-        self.retry = retry;
-        self
     }
 
     /// Returns a copy with the given wall-clock budget (milliseconds).
@@ -172,45 +131,9 @@ pub(crate) struct DurableReport<K, T> {
     pub resumed: usize,
 }
 
-/// The deterministic backoff delay (milliseconds) before retry
-/// `attempt` (1-based: the delay *after* the `attempt`-th failure).
-///
-/// Exponential with full jitter in `[cap/2, cap]`, where `cap` is
-/// `base · 2^(attempt-1)` bounded by the policy cap; the jitter draw is
-/// a pure function of `(run_seed, section_hash, seq, attempt)`, so a
-/// replay of the same run applies the same schedule.
-pub fn backoff_ms(
-    run_seed: u64,
-    section_hash: u64,
-    seq: u64,
-    attempt: u32,
-    retry: &RetryPolicy,
-) -> u64 {
-    let exp = attempt.saturating_sub(1).min(16);
-    let cap = retry
-        .base_backoff_ms
-        .max(1)
-        .saturating_mul(1u64 << exp)
-        .min(retry.cap_backoff_ms.max(1));
-    let draw = splitmix64(
-        run_seed ^ section_hash.rotate_left(17) ^ (seq << 8) ^ u64::from(attempt).rotate_left(48),
-    );
-    let half = cap / 2;
-    half + draw % (cap - half + 1)
-}
-
-/// SplitMix64 — the standalone mixing step used for jitter draws.
-fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    x ^ (x >> 31)
-}
-
 /// Runs keyed jobs crash-safely: stable key-sorted order, per-job
-/// panic isolation with deterministic retries, optional journaling and
-/// resume, quarantine on exhaustion. See the module docs for the
-/// guarantees.
+/// panic isolation, optional journaling and resume, quarantine on the
+/// first panic. See the module docs for the guarantees.
 ///
 /// `section` names the journal namespace; callers derive it from a
 /// content hash of the job set so distinct batches never share
@@ -227,12 +150,11 @@ pub(crate) fn run_keyed_durable<K, T, F>(
 where
     K: Ord + Send,
     T: Send + Serialize + Deserialize,
-    F: Fn() -> T + Send + Sync,
+    F: FnOnce() -> T + Send,
 {
     // Same stable pre-sort as `run_keyed`: the sorted ordinal is the
     // job's durable identity (`seq`).
     jobs.sort_by(|a, b| a.0.cmp(&b.0));
-    let section_hash = fnv1a64(section.as_bytes());
     let total = jobs.len();
 
     let mut keys: Vec<K> = Vec::with_capacity(total);
@@ -257,14 +179,14 @@ where
         }
     }
 
-    // Execute the pending jobs on the plain deterministic pool, each
-    // wrapped in the isolation/retry/journal shell. Keys are the seqs,
-    // so the merge hands results back in seq order.
+    // Execute the pending jobs on the pool, each wrapped in the
+    // isolation/journal shell. Keys are the seqs, so the merge hands
+    // results back in seq order.
     let wrapped: Vec<(usize, _)> = pending
         .into_iter()
         .map(|(seq, (meta, job))| {
             (seq, move || {
-                let outcome = run_attempts(ctx, section, section_hash, seq, &meta, &job);
+                let outcome = run_isolated(ctx, section, seq, &meta, job);
                 if let (Ok(value), Some(run)) = (&outcome, &ctx.checkpoint) {
                     journal(run, section, seq, value);
                 }
@@ -306,76 +228,41 @@ where
     }
 }
 
-/// One job's isolation/retry shell.
-fn run_attempts<T, F>(
+/// One job's isolation shell: a single run under `catch_unwind`, then
+/// the optional wall-clock watchdog.
+fn run_isolated<T>(
     ctx: &DurableContext,
     section: &str,
-    section_hash: u64,
     seq: usize,
     meta: &JobMeta,
-    job: &F,
-) -> Result<T, Box<JobFailure>>
-where
-    F: Fn() -> T,
-{
-    let max_attempts = ctx.retry.max_attempts.max(1);
-    let mut backoffs: Vec<u64> = Vec::new();
-    let mut last_error = String::new();
+    job: impl FnOnce() -> T,
+) -> Result<T, Box<JobFailure>> {
     // Boxed so the hot `Result` stays pointer-sized on the Ok path.
-    let failure = |error: String, stalled: bool, attempts: u32, backoffs: Vec<u64>| JobFailure {
-        section: section.to_owned(),
-        seq: seq as u64,
-        label: meta.label.clone(),
-        error,
-        stalled,
-        attempts,
-        run_seed: ctx.run_seed,
-        backoff_ms: backoffs,
-        repro: meta.repro.clone(),
+    let failure = |error: String| {
+        Box::new(JobFailure {
+            section: section.to_owned(),
+            seq: seq as u64,
+            label: meta.label.clone(),
+            stalled: error.starts_with(STALLED_PREFIX),
+            error,
+            run_seed: ctx.run_seed,
+            repro: meta.repro.clone(),
+        })
     };
-
-    for attempt in 1..=max_attempts {
-        // Watchdog only — never feeds simulated time or results.
-        // h3cdn-lint: allow(wall-clock)
-        let started = Instant::now();
-        match panic::catch_unwind(AssertUnwindSafe(job)) {
-            Ok(value) => {
-                if let Some(budget) = ctx.wall_budget_ms {
-                    let elapsed_ms = started.elapsed().as_millis();
-                    if elapsed_ms > u128::from(budget) {
-                        // A deterministic job that overran once will
-                        // overrun again: demote without retrying.
-                        return Err(Box::new(failure(
-                            format!(
-                                "{STALLED_PREFIX}wall-clock budget exceeded \
-                                 ({elapsed_ms} ms > {budget} ms)"
-                            ),
-                            true,
-                            attempt,
-                            backoffs,
-                        )));
-                    }
-                }
-                return Ok(value);
-            }
-            Err(payload) => {
-                last_error = panic_message(payload.as_ref());
-                if attempt < max_attempts {
-                    let delay =
-                        backoff_ms(ctx.run_seed, section_hash, seq as u64, attempt, &ctx.retry);
-                    backoffs.push(delay);
-                    std::thread::sleep(Duration::from_millis(delay));
-                }
-            }
+    // Watchdog only — never feeds simulated time or results.
+    // h3cdn-lint: allow(wall-clock)
+    let started = Instant::now();
+    let value = panic::catch_unwind(AssertUnwindSafe(job))
+        .map_err(|payload| failure(panic_message(payload.as_ref())))?;
+    if let Some(budget) = ctx.wall_budget_ms {
+        let elapsed_ms = started.elapsed().as_millis();
+        if elapsed_ms > u128::from(budget) {
+            return Err(failure(format!(
+                "{STALLED_PREFIX}wall-clock budget exceeded ({elapsed_ms} ms > {budget} ms)"
+            )));
         }
     }
-    let stalled = last_error.starts_with(STALLED_PREFIX);
-    Err(Box::new(failure(
-        last_error,
-        stalled,
-        max_attempts,
-        backoffs,
-    )))
+    Ok(value)
 }
 
 /// Extracts a human-readable message from a panic payload.
@@ -516,58 +403,29 @@ mod tests {
     }
 
     #[test]
-    fn panicking_job_is_retried_then_quarantined() {
-        let attempts = AtomicUsize::new(0);
-        let ctx = DurableContext::new(77).with_retry(RetryPolicy {
-            max_attempts: 3,
-            base_backoff_ms: 1,
-            cap_backoff_ms: 4,
-        });
-        let cfg = RunnerConfig::serial();
-        let batch = vec![((0u32, 0u32, 0u32), meta(0), {
-            let attempts = &attempts;
-            move || -> u32 {
-                attempts.fetch_add(1, Ordering::Relaxed);
-                panic!("boom at job 0");
-            }
-        })];
-        let report = run_keyed_durable(&cfg, &ctx, "panics", batch);
-        assert_eq!(attempts.load(Ordering::Relaxed), 3, "3 attempts made");
-        assert_eq!(report.failures.len(), 1);
-        let f = &report.failures[0];
-        assert_eq!(f.attempts, 3);
-        assert!(f.error.contains("boom at job 0"));
-        assert!(!f.stalled);
-        assert_eq!(f.run_seed, 77);
-        assert_eq!(f.backoff_ms.len(), 2, "two retries, two delays");
-        // The schedule is a pure function of the run identity.
-        let hash = fnv1a64(b"panics");
-        for (i, &b) in f.backoff_ms.iter().enumerate() {
-            assert_eq!(b, backoff_ms(77, hash, 0, i as u32 + 1, &ctx.retry));
+    fn panicking_job_runs_once_then_is_quarantined() {
+        for jobs in [1usize, 2] {
+            let runs = AtomicUsize::new(0);
+            let ctx = DurableContext::new(77);
+            let cfg = RunnerConfig::default().with_jobs(jobs);
+            let batch = vec![((0u32, 0u32, 0u32), meta(0), {
+                let runs = &runs;
+                move || -> u32 {
+                    runs.fetch_add(1, Ordering::Relaxed);
+                    panic!("boom at job 0");
+                }
+            })];
+            let report = run_keyed_durable(&cfg, &ctx, "panics", batch);
+            assert_eq!(runs.load(Ordering::Relaxed), 1, "run exactly once");
+            assert_eq!(report.failures.len(), 1);
+            let f = &report.failures[0];
+            assert!(f.error.contains("boom at job 0"));
+            assert!(!f.stalled);
+            assert_eq!(f.run_seed, 77);
+            assert_eq!(f.repro, "repro 0");
+            assert_eq!(report.results.len(), 1);
+            assert!(report.results[0].1.is_none());
         }
-        assert_eq!(report.results.len(), 1);
-        assert!(report.results[0].1.is_none());
-    }
-
-    #[test]
-    fn backoff_is_deterministic_bounded_and_growing() {
-        let retry = RetryPolicy::default();
-        for attempt in 1..=6u32 {
-            let a = backoff_ms(5, 11, 3, attempt, &retry);
-            let b = backoff_ms(5, 11, 3, attempt, &retry);
-            assert_eq!(a, b, "deterministic");
-            assert!(a <= retry.cap_backoff_ms, "bounded: {a}");
-            assert!(a >= retry.base_backoff_ms / 2, "not degenerate: {a}");
-        }
-        // Seed-dependence: the full schedule (all attempts) differs
-        // between run seeds even if single draws collide in the narrow
-        // [cap/2, cap] jitter window.
-        let schedule = |seed: u64| -> Vec<u64> {
-            (1..=6u32)
-                .map(|a| backoff_ms(seed, 11, 3, a, &retry))
-                .collect()
-        };
-        assert_ne!(schedule(5), schedule(6), "seed-dependent");
     }
 
     #[test]
@@ -579,11 +437,7 @@ mod tests {
         #[allow(clippy::type_complexity)]
         fn make_batch(
             calls: &AtomicUsize,
-        ) -> Vec<(
-            (u32, u32, u32),
-            JobMeta,
-            impl Fn() -> u64 + Send + Sync + '_,
-        )> {
+        ) -> Vec<((u32, u32, u32), JobMeta, impl FnOnce() -> u64 + Send + '_)> {
             (0..6u32)
                 .map(move |i| {
                     ((0, i, 0), meta(i), move || {
@@ -614,12 +468,7 @@ mod tests {
     #[test]
     fn quarantine_file_accumulates_across_sections() {
         let run = tmp_run("quar");
-        let ctx = DurableContext::new(1).with_retry(RetryPolicy {
-            max_attempts: 1,
-            base_backoff_ms: 1,
-            cap_backoff_ms: 1,
-        });
-        let ctx = ctx.with_checkpoint(run.clone());
+        let ctx = DurableContext::new(1).with_checkpoint(run.clone());
         let cfg = RunnerConfig::serial();
         let bad = |name: &'static str| {
             vec![((0u32, 0u32, 0u32), meta(0), move || -> u32 {
@@ -668,13 +517,7 @@ mod tests {
     #[test]
     fn clean_batches_leave_the_quarantine_file_alone() {
         let run = tmp_run("clean");
-        let ctx = DurableContext::new(1)
-            .with_retry(RetryPolicy {
-                max_attempts: 1,
-                base_backoff_ms: 1,
-                cap_backoff_ms: 1,
-            })
-            .with_checkpoint(run.clone());
+        let ctx = DurableContext::new(1).with_checkpoint(run.clone());
         let cfg = RunnerConfig::serial();
         let good = || vec![((0u32, 0u32, 0u32), meta(0), move || 5u32)];
         let _ = run_keyed_durable(&cfg, &ctx, "clean", good());
@@ -711,7 +554,7 @@ mod tests {
         let ctx = DurableContext::new(1).with_wall_budget_ms(Some(0));
         let cfg = RunnerConfig::serial();
         let batch = vec![((0u32, 0u32, 0u32), meta(0), move || {
-            std::thread::sleep(Duration::from_millis(5));
+            std::thread::sleep(std::time::Duration::from_millis(5));
             1u32
         })];
         let report = run_keyed_durable(&cfg, &ctx, "wall", batch);

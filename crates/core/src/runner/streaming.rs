@@ -1,27 +1,38 @@
-//! Streaming variant of the keyed runner: key-ordered delivery to a
-//! sink with a bounded in-flight result buffer.
+//! The one worker pool: key-ordered delivery to a sink with a bounded
+//! in-flight result buffer.
 //!
-//! [`super::run_keyed`] materializes every result before the key-ordered
-//! merge, which is fine at 325 pages and fatal at 10⁶. This module keeps
-//! the same contract — jobs execute in any order, the sink observes
-//! results in ascending key order, output is bit-identical at any worker
-//! count — while holding at most `window` completed results in memory.
+//! Every runner in the workspace executes here. [`super::run_keyed`]
+//! is this pool with a sink that collects into a `Vec` and a window as
+//! large as the job set; the population runner streams 10⁶ results
+//! through a small window. The contract either way: jobs execute in
+//! any order, the sink observes results in ascending key order, output
+//! is bit-identical at any worker count, and at most `window` completed
+//! results are held in memory.
 //!
 //! The mechanism: jobs are sorted by key up front and workers claim
-//! indices from an atomic cursor, so index order *is* key order. A
-//! worker that finishes job `i` parks it in an ordered buffer; the
-//! caller's thread drains the buffer strictly in index order, handing
-//! each result to the sink. Workers that run more than `window` jobs
-//! ahead of the drain point block on a condvar until the sink catches
-//! up — that back-pressure is what bounds memory. Deadlock-free because
-//! indices are claimed in order: the job at the drain point is always
-//! held by a worker inside the window, so it can always complete.
+//! `(index, job)` pairs in order from one queue, so index order *is*
+//! key order. A worker that finishes job `i` parks it in an ordered
+//! buffer; the caller's thread drains the buffer strictly in index
+//! order, handing each result to the sink. Workers that run more than
+//! `window` jobs ahead of the drain point block on a condvar until the
+//! sink catches up — that back-pressure is what bounds memory.
+//! Deadlock-free because indices are claimed in order: the job at the
+//! drain point is always held by a worker inside the window, and it
+//! always completes, because a panicking job parks its panic as its
+//! result.
+//!
+//! A panic never hangs the pool. When the drain meets a parked panic,
+//! or the sink itself panics, it raises a stop flag, wakes every
+//! worker parked on the window, joins them and re-raises the original
+//! payload on the caller's thread. No lock is held while a job or the
+//! sink runs, so a panic cannot leave the shared state half-written.
 
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Condvar, Mutex};
+use std::panic::{self, AssertUnwindSafe};
+use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
+use std::thread;
 
-use super::RunnerConfig;
+use super::{Progress, RunnerConfig};
 
 /// Memory-behavior report from [`run_keyed_streaming`]: the counting
 /// evidence that the merge stayed bounded (asserted by tests instead of
@@ -37,14 +48,24 @@ pub struct StreamStats {
 
 /// Completed-result staging shared between workers and the draining
 /// caller thread.
-struct Shared<T> {
-    /// Completed results waiting for the drain point, keyed by job
-    /// index. Size is bounded by the window.
-    done: BTreeMap<usize, T>,
+struct Shared<K, T> {
+    /// Completed jobs waiting for the drain point, keyed by job index:
+    /// the job's key and its result, or its panic. Size is bounded by
+    /// the window.
+    done: BTreeMap<usize, (K, thread::Result<T>)>,
     /// Next job index the sink will consume.
     next_emit: usize,
     /// High-water mark of `done.len()`.
     peak: usize,
+    /// Set by the drain when it re-raises a panic: workers stop
+    /// claiming jobs and leave.
+    stop: bool,
+}
+
+/// Locks `m`, recovering the data if a panic poisoned it (nothing is
+/// ever left half-written under these locks).
+fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 /// Runs keyed jobs on a worker pool, feeding each `(key, result)` to
@@ -53,14 +74,15 @@ struct Shared<T> {
 /// block once they get that far ahead of the sink.
 ///
 /// Equal keys are delivered in submission order (stable pre-sort), and
-/// the sink observes the exact same sequence at any worker count — the
-/// streaming analogue of [`super::run_keyed`]'s bit-identical merge.
+/// the sink observes the exact same sequence at any worker count.
 /// The sink runs on the caller's thread.
 ///
 /// # Panics
 ///
-/// Panics if `window` is zero, or if a job closure panics (workers
-/// propagate the panic when the scope joins).
+/// Panics if `window` is zero. If a job or the sink panics, the
+/// original panic is re-raised on the caller's thread once the workers
+/// have joined, at any worker count; the sink has then seen exactly
+/// the results that precede the failing one in key order.
 pub fn run_keyed_streaming<K, T, F, S>(
     config: &RunnerConfig,
     mut jobs: Vec<(K, F)>,
@@ -74,16 +96,25 @@ where
     S: FnMut(K, T),
 {
     assert!(window > 0, "window must be at least 1");
-    // Stable sort: ascending key, ties in submission order — identical
-    // to run_keyed, so index order is delivery order.
+    // Stable sort: ascending key, ties in submission order, so index
+    // order is delivery order.
     jobs.sort_by(|a, b| a.0.cmp(&b.0));
     let total = jobs.len();
     let workers = config.effective_jobs().min(total.max(1));
+    let mut progress = Progress::start(config, total, workers);
 
     if workers <= 1 || total <= 1 {
-        // Serial path: execute and deliver one result at a time.
-        for (k, f) in jobs {
-            sink(k, f());
+        // Serial path: execute and deliver one result at a time, in
+        // this thread, so a panic propagates as it is.
+        if let Some(progress) = &mut progress {
+            for (k, f) in jobs {
+                sink(k, f());
+                progress.tick();
+            }
+        } else {
+            for (k, f) in jobs {
+                sink(k, f());
+            }
         }
         return StreamStats {
             total,
@@ -91,54 +122,41 @@ where
         };
     }
 
-    let mut keys = Vec::with_capacity(total);
-    let mut fns = Vec::with_capacity(total);
-    for (k, f) in jobs {
-        keys.push(k);
-        fns.push(f);
-    }
-
-    let tasks: Vec<Mutex<Option<F>>> = fns.into_iter().map(|f| Mutex::new(Some(f))).collect();
-    let cursor = AtomicUsize::new(0);
-    let shared = Mutex::new(Shared::<T> {
+    let queue = Mutex::new(jobs.into_iter().enumerate());
+    let shared = Mutex::new(Shared::<K, T> {
         done: BTreeMap::new(),
         next_emit: 0,
         peak: 0,
+        stop: false,
     });
     // Workers wait on `space` for the sink to open the window; the
     // caller waits on `ready` for the next in-order result.
     let space = Condvar::new();
     let ready = Condvar::new();
 
-    let mut keys_iter = keys.into_iter();
-    let mut peak = 0usize;
-
-    std::thread::scope(|scope| {
+    let failure = thread::scope(|scope| {
         for _ in 0..workers {
             scope.spawn(|| loop {
-                let i = cursor.fetch_add(1, Ordering::Relaxed);
-                if i >= total {
+                let Some((i, (key, job))) = lock(&queue).next() else {
                     break;
-                }
+                };
                 // Back-pressure: don't run further than `window` ahead
                 // of the drain point. Because indices are claimed in
                 // order, every index below `i` is already claimed, so
                 // the drain point always belongs to an unblocked
                 // worker (i < next_emit + window holds for it).
                 {
-                    let mut st = shared.lock().expect("stream state");
-                    while i >= st.next_emit + window {
-                        st = space.wait(st).expect("stream state");
+                    let mut st = lock(&shared);
+                    while !st.stop && i >= st.next_emit + window {
+                        st = space.wait(st).unwrap_or_else(PoisonError::into_inner);
+                    }
+                    if st.stop {
+                        break;
                     }
                 }
-                let f = tasks[i]
-                    .lock()
-                    .expect("task mutex")
-                    .take()
-                    .expect("each job is taken exactly once");
-                let out = f();
-                let mut st = shared.lock().expect("stream state");
-                st.done.insert(i, out);
+                let out = panic::catch_unwind(AssertUnwindSafe(job));
+                let mut st = lock(&shared);
+                st.done.insert(i, (key, out));
                 st.peak = st.peak.max(st.done.len());
                 drop(st);
                 ready.notify_one();
@@ -148,28 +166,41 @@ where
         // Drain on the caller's thread: deliver results strictly in
         // index (= key) order as they become available.
         for expect in 0..total {
-            let value = {
-                let mut st = shared.lock().expect("stream state");
+            let (key, out) = {
+                let mut st = lock(&shared);
                 loop {
-                    if let Some(v) = st.done.remove(&expect) {
+                    if let Some(entry) = st.done.remove(&expect) {
                         st.next_emit = expect + 1;
-                        break v;
+                        break entry;
                     }
-                    st = ready.wait(st).expect("stream state");
+                    st = ready.wait(st).unwrap_or_else(PoisonError::into_inner);
                 }
             };
             // The window moved: wake any workers parked on it.
             space.notify_all();
-            let key = keys_iter.next().expect("one key per job");
-            sink(key, value);
+            let delivered =
+                out.and_then(|value| panic::catch_unwind(AssertUnwindSafe(|| sink(key, value))));
+            if let Err(payload) = delivered {
+                lock(&shared).stop = true;
+                space.notify_all();
+                return Some(payload);
+            }
+            if let Some(progress) = &mut progress {
+                progress.tick();
+            }
         }
-
-        peak = shared.lock().expect("stream state").peak;
+        None
     });
+    if let Some(payload) = failure {
+        panic::resume_unwind(payload);
+    }
 
     StreamStats {
         total,
-        peak_buffered: peak,
+        peak_buffered: shared
+            .into_inner()
+            .unwrap_or_else(PoisonError::into_inner)
+            .peak,
     }
 }
 
@@ -251,6 +282,55 @@ mod tests {
         let stats = run_keyed_streaming(&cfg, jobs, 8, |_, _| unreachable!());
         assert_eq!(stats.total, 0);
         assert_eq!(stats.peak_buffered, 0);
+    }
+
+    /// A typed panic payload, so the caller can tell the original
+    /// panic from any panic the pool might raise on its own.
+    struct Boom(&'static str);
+
+    #[test]
+    fn job_and_sink_panics_reraise_at_any_worker_count() {
+        use std::sync::mpsc;
+        use std::time::Duration;
+
+        for workers in [1, 2, 4] {
+            for culprit in ["job", "sink"] {
+                // Each call runs on its own thread, so a pool that hangs
+                // fails this test by timeout instead of wedging the
+                // suite.
+                let (tx, rx) = mpsc::channel();
+                let caller = thread::spawn(move || {
+                    let cfg = RunnerConfig::default().with_jobs(workers);
+                    let jobs: Vec<(u32, _)> = (0..16u32)
+                        .map(|i| {
+                            (i, move || {
+                                if culprit == "job" && i == 3 {
+                                    panic::panic_any(Boom("job"));
+                                }
+                                i
+                            })
+                        })
+                        .collect();
+                    let mut seen = Vec::new();
+                    let raised = panic::catch_unwind(AssertUnwindSafe(|| {
+                        run_keyed_streaming(&cfg, jobs, 2, |k, _| {
+                            if culprit == "sink" && k == 3 {
+                                panic::panic_any(Boom("sink"));
+                            }
+                            seen.push(k);
+                        })
+                    }));
+                    let payload = raised.err().and_then(|p| p.downcast::<Boom>().ok());
+                    let _ = tx.send((payload.map(|b| b.0), seen));
+                });
+                let (payload, seen) = rx
+                    .recv_timeout(Duration::from_secs(5))
+                    .unwrap_or_else(|_| panic!("{culprit} panic hung {workers} worker(s)"));
+                caller.join().expect("the caller thread caught the panic");
+                assert_eq!(payload, Some(culprit), "workers={workers}");
+                assert_eq!(seen, [0, 1, 2], "workers={workers} culprit={culprit}");
+            }
+        }
     }
 
     #[test]

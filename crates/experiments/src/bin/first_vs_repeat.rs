@@ -3,8 +3,8 @@
 //! session tickets; a *Repeat* visit has everything warm. Prints mean PLT
 //! per protocol per mode and the H3 reduction in each.
 
-use h3cdn::browser::{ProtocolMode, VisitConfig};
-use h3cdn::run_keyed;
+use h3cdn::browser::ProtocolMode;
+use h3cdn::JobMeta;
 use serde::Serialize;
 
 #[derive(Debug, Serialize)]
@@ -45,46 +45,63 @@ fn main() {
         opts.pages = 60; // four visits per page; keep the default run brisk
     }
     let campaign = h3cdn_experiments::campaign_named(&opts, "first_vs_repeat");
-    let corpus = campaign.corpus();
+    let config = campaign.config();
+    let vantage = opts.vantage.name().to_lowercase();
+    let repro = format!(
+        "cargo run -q -p h3cdn-experiments --bin first_vs_repeat -- \
+         --pages {} --seed {} --vantage {vantage}",
+        config.workload.num_pages, config.workload.seed
+    );
     let modes = [("First", true), ("Repeat", false)];
 
-    // The full `mode × page × protocol` grid as keyed runner jobs; keys
-    // `(mode, site, protocol)` make the merge mode-major like the old
-    // serial loops.
+    // The full `mode × page × protocol` grid as keyed jobs on the
+    // campaign's execution layer; keys `(mode, site, protocol)` make
+    // the merge mode-major, with the two sides of a page adjacent.
     let campaign = &campaign;
     let mut jobs = Vec::new();
-    for (mi, &(_, cold)) in modes.iter().enumerate() {
-        for site in 0..corpus.pages.len() {
+    for (mi, &(mode, cold)) in modes.iter().enumerate() {
+        for site in 0..campaign.corpus().pages.len() {
             for (variant, proto) in [
                 (0u32, ProtocolMode::H2Only),
                 (1u32, ProtocolMode::H3Enabled),
             ] {
-                let mut cfg = VisitConfig::default()
+                let mut cfg = config
+                    .visit
+                    .clone()
                     .with_mode(proto)
                     .with_vantage(opts.vantage);
                 cfg.cold_cache = cold;
                 cfg.alt_svc_discovery = cold;
-                jobs.push(((mi as u32, site as u32, variant), move || {
+                let meta = JobMeta {
+                    label: format!("{mode} visit site {site} {proto} @ {vantage}"),
+                    repro: if config.inject_panic_site == Some(site) {
+                        format!("H3CDN_PANIC_SITE={site} {repro}")
+                    } else {
+                        repro.clone()
+                    },
+                };
+                jobs.push(((mi as u32, site as u32, variant), meta, move || {
                     campaign.visit_with(site, &cfg).plt_ms
                 }));
             }
         }
     }
-    let plts = run_keyed(campaign.runner(), jobs);
+    let plts = campaign.run_durable("first-vs-repeat", jobs);
 
-    let n = corpus.pages.len() as f64;
-    let total = |mi: usize, variant: u32| -> f64 {
-        plts.iter()
-            .filter(|((m, _, v), _)| *m == mi as u32 && *v == variant)
-            .map(|(_, plt)| plt)
-            .sum()
-    };
     let rows = modes
         .iter()
         .enumerate()
         .map(|(mi, &(mode, _))| {
-            let h2_total = total(mi, 0);
-            let h3_total = total(mi, 1);
+            // A quarantined side drops the page from this mode, as
+            // `compare_batch` drops a half-measured pair.
+            let pairs: Vec<(f64, f64)> = plts
+                .chunks_exact(2)
+                .filter(|pair| pair[0].0 .0 == mi as u32)
+                .filter_map(|pair| Some((pair[0].1?, pair[1].1?)))
+                .collect();
+            let n = pairs.len() as f64;
+            let h2_total: f64 = pairs.iter().map(|p| p.0).sum();
+            let h3_total: f64 = pairs.iter().map(|p| p.1).sum();
             ModeRow {
                 mode,
                 mean_plt_h2_ms: h2_total / n,

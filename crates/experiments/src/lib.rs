@@ -22,9 +22,8 @@
 //!                size and seed); output is bit-identical to an
 //!                uninterrupted run at any --jobs
 //! --results-dir D  root for results and checkpoints (default results)
-//! --max-retries N  attempts per job before quarantine (default 3)
-//! --wall-budget-ms MS  per-attempt wall-clock watchdog (off by
-//!                default; demotion is nondeterministic by nature)
+//! --wall-budget-ms MS  per-job wall-clock watchdog (off by default;
+//!                demotion is nondeterministic by nature)
 //! --max-sim-events N   deterministic per-visit sim-event watchdog
 //!                (changes results for budget-exceeding visits, so it
 //!                is part of the resume fingerprint)
@@ -34,11 +33,12 @@
 //! A malformed command line prints one line to stderr and exits 2.
 //!
 //! Every binary runs its campaign under the crash-safe execution layer
-//! (panic isolation + deterministic retries); checkpointing to disk
-//! only happens with `--run-id`/`--resume`. The `H3CDN_PANIC_SITE=N`
-//! environment variable arms a chaos hook that deliberately panics
-//! every visit of site `N` — the end-to-end proof of the quarantine
-//! path (see the `visit_one` binary for replaying quarantined jobs).
+//! (panic isolation: a panicking job is quarantined on its first run);
+//! checkpointing to disk only happens with `--run-id`/`--resume`. The
+//! `H3CDN_PANIC_SITE=N` environment variable arms a chaos hook that
+//! deliberately panics every visit of site `N` — the end-to-end proof
+//! of the quarantine path (see the `visit_one` binary for replaying
+//! quarantined jobs).
 //!
 //! The figure/table regenerators themselves live here too, one module
 //! per artifact of the paper's evaluation: each consumes a
@@ -72,7 +72,7 @@ pub mod table3;
 use std::path::Path;
 
 use h3cdn::persist::{workspace_git_hash, Fingerprint, Manifest, RunDir, MANIFEST_VERSION};
-use h3cdn::runner::durable::{DurableContext, RetryPolicy};
+use h3cdn::runner::durable::DurableContext;
 use h3cdn::{CampaignConfig, MeasurementCampaign, RunnerConfig, Vantage, WorkloadSpec};
 
 /// Parsed common flags.
@@ -97,9 +97,7 @@ pub struct Options {
     pub run_id: Option<String>,
     /// Root directory for results and checkpoints.
     pub results_dir: String,
-    /// Attempts per job before quarantine.
-    pub max_retries: u32,
-    /// Optional per-attempt wall-clock watchdog, milliseconds.
+    /// Optional per-job wall-clock watchdog, milliseconds.
     pub wall_budget_ms: Option<u64>,
     /// Optional deterministic per-visit sim-event watchdog.
     pub max_sim_events: Option<u64>,
@@ -121,7 +119,6 @@ impl Default for Options {
             resume: false,
             run_id: None,
             results_dir: "results".to_owned(),
-            max_retries: 3,
             wall_budget_ms: None,
             max_sim_events: None,
             argv: Vec::new(),
@@ -151,9 +148,9 @@ impl Options {
     /// The canonical *semantic* argument list — every resolved setting
     /// that can change results, rendered in a fixed order and spelling.
     /// Scheduling and IO flags (`--jobs`, `--progress`, `--resume`,
-    /// `--run-id`, `--results-dir`, `--max-retries`,
-    /// `--wall-budget-ms`, `--json`) are deliberately excluded: a
-    /// checkpoint taken at one worker count must resume at any other.
+    /// `--run-id`, `--results-dir`, `--wall-budget-ms`, `--json`) are
+    /// deliberately excluded: a checkpoint taken at one worker count
+    /// must resume at any other.
     pub fn fingerprint_args(&self) -> Vec<String> {
         let mut a = vec![
             "--pages".to_owned(),
@@ -174,7 +171,7 @@ impl Options {
 /// The common flags, as `--help` lists them.
 const COMMON_FLAGS: &str = "--pages N   --seed S   --vantage Utah|Wisconsin|Clemson   \
      --json   --jobs N   --progress   --resume   --run-id ID   --results-dir D   \
-     --max-retries N   --wall-budget-ms MS   --max-sim-events N";
+     --wall-budget-ms MS   --max-sim-events N";
 
 /// A command line an experiment binary will not run.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -246,13 +243,6 @@ pub(crate) fn try_parse_args(mut args: impl Iterator<Item = String>) -> Result<O
                 opts.results_dir =
                     value(&mut opts, &mut args, "--results-dir expects a directory")?;
             }
-            "--max-retries" => {
-                opts.max_retries = value(
-                    &mut opts,
-                    &mut args,
-                    "--max-retries expects a positive integer",
-                )?;
-            }
             "--wall-budget-ms" => {
                 opts.wall_budget_ms = Some(value(
                     &mut opts,
@@ -313,19 +303,14 @@ pub fn campaign(opts: &Options) -> MeasurementCampaign {
 }
 
 /// Builds the campaign for an experiment binary, running under the
-/// crash-safe execution layer: per-visit panic isolation with
-/// deterministic retries always; checkpoint/resume journaling under
+/// crash-safe execution layer: per-visit panic isolation and
+/// quarantine always; checkpoint/resume journaling under
 /// `results_dir/.runs/<run-id>/` when `--run-id` or `--resume` is
 /// given. `experiment` names the binary — it feeds the resume
 /// fingerprint (so a `fig6` checkpoint can never leak into `fig9`) and
 /// the default run id.
 pub fn campaign_named(opts: &Options, experiment: &str) -> MeasurementCampaign {
-    let mut ctx = DurableContext::new(opts.seed)
-        .with_retry(RetryPolicy {
-            max_attempts: opts.max_retries.max(1),
-            ..RetryPolicy::default()
-        })
-        .with_wall_budget_ms(opts.wall_budget_ms);
+    let mut ctx = DurableContext::new(opts.seed).with_wall_budget_ms(opts.wall_budget_ms);
     if let Some(run) = prepare_run_dir(opts, experiment) {
         ctx = ctx.with_checkpoint(run);
     }
@@ -397,10 +382,7 @@ pub fn report_quarantine(campaign: &MeasurementCampaign) {
         failures.len()
     );
     for f in &failures {
-        eprintln!(
-            "  - {} after {} attempt(s): {}\n    repro: {}",
-            f.label, f.attempts, f.error, f.repro
-        );
+        eprintln!("  - {}: {}\n    repro: {}", f.label, f.error, f.repro);
     }
 }
 

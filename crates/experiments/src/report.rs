@@ -125,7 +125,7 @@ pub fn generate_report(campaign: &MeasurementCampaign, opts: &ReportOptions) -> 
         .enumerate()
         .map(|(i, (title, body))| ((i as u32, 0u32, 0u32), move || (title, body())))
         .collect();
-    for (title, body) in h3cdn::runner::run_keyed_values(campaign.runner(), jobs) {
+    for (_, (title, body)) in h3cdn::run_keyed(campaign.runner(), jobs) {
         let _ = writeln!(out, "## {title}\n\n```text\n{body}```\n");
     }
     out

@@ -25,16 +25,7 @@ fn run(bin: &str, args: &[&str], envs: &[(&str, &str)]) -> Output {
 fn chaos_page_is_quarantined_and_the_table_still_prints() {
     let out = run(
         env!("CARGO_BIN_EXE_fig2"),
-        &[
-            "--pages",
-            "4",
-            "--seed",
-            "11",
-            "--jobs",
-            "2",
-            "--max-retries",
-            "2",
-        ],
+        &["--pages", "4", "--seed", "11", "--jobs", "2"],
         &[("H3CDN_PANIC_SITE", "1")],
     );
     assert!(out.status.success(), "fig2 must survive a poisoned page");
@@ -51,6 +42,39 @@ fn chaos_page_is_quarantined_and_the_table_still_prints() {
     );
     assert!(
         stderr.contains("H3CDN_PANIC_SITE=1"),
+        "repro re-arms the chaos hook: {stderr}"
+    );
+}
+
+#[test]
+fn first_vs_repeat_quarantines_a_chaos_page_and_completes() {
+    let out = run(
+        env!("CARGO_BIN_EXE_first_vs_repeat"),
+        &["--pages", "3", "--seed", "11", "--jobs", "2"],
+        &[("H3CDN_PANIC_SITE", "1")],
+    );
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        out.status.success(),
+        "first_vs_repeat must survive: {stderr}"
+    );
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(stdout.contains("First") && stdout.contains("Repeat"));
+    assert!(
+        stderr.contains("campaign finished with 4 quarantined job(s)"),
+        "both modes, both sides: {stderr}"
+    );
+    for label in [
+        "First visit site 1 h2 @ utah",
+        "First visit site 1 h3 @ utah",
+        "Repeat visit site 1 h2 @ utah",
+        "Repeat visit site 1 h3 @ utah",
+    ] {
+        assert!(stderr.contains(label), "{label} named: {stderr}");
+    }
+    assert!(
+        stderr
+            .contains("H3CDN_PANIC_SITE=1 cargo run -q -p h3cdn-experiments --bin first_vs_repeat"),
         "repro re-arms the chaos hook: {stderr}"
     );
 }

@@ -150,17 +150,17 @@ pub(crate) const ALLOWLIST: &[(&str, &str, &str)] = &[
     (
         "crates/core/src/runner.rs",
         RULE_SANS_IO,
-        "the deterministic campaign runner owns the std::thread::scope worker pool",
+        "the runner config resolves the worker count via available_parallelism",
     ),
     (
         "crates/core/src/runner/durable.rs",
         RULE_SANS_IO,
-        "the crash-safe runner owns catch_unwind, retry sleeps and journal I/O plumbing",
+        "the crash-safe runner's tests build scratch journals and overrun the wall budget",
     ),
     (
         "crates/core/src/runner/streaming.rs",
         RULE_SANS_IO,
-        "the constant-memory streaming runner owns its std::thread::scope pool and condvars",
+        "the one worker pool: scoped threads, condvars and the panic re-raise",
     ),
     (
         "crates/core/src/persist.rs",
