@@ -166,6 +166,30 @@ impl MeasurementCampaign {
         self.resumed.load(Ordering::Relaxed)
     }
 
+    /// The chaos hook: panics deliberately when `site` is the site
+    /// [`CampaignConfig::inject_panic_site`] arms, and does nothing
+    /// otherwise. Every page load a campaign job performs calls this
+    /// first — the campaign's own visit path and the experiment sweeps
+    /// that load pages themselves.
+    pub fn fire_chaos_hook(&self, site: usize) {
+        if self.config.inject_panic_site == Some(site) {
+            std::panic::panic_any(format!(
+                "deliberately injected panic at site {site} (H3CDN_PANIC_SITE chaos hook)"
+            ));
+        }
+    }
+
+    /// `repro` prefixed with `H3CDN_PANIC_SITE=N` when the chaos hook is
+    /// armed at `site`, so replaying a job quarantined by the hook
+    /// re-arms it.
+    pub fn chaos_repro(&self, site: usize, repro: String) -> String {
+        if self.config.inject_panic_site == Some(site) {
+            format!("H3CDN_PANIC_SITE={site} {repro}")
+        } else {
+            repro
+        }
+    }
+
     /// The single internal visit path every public entry point funnels
     /// through: one isolated page load (fresh ticket store) under an
     /// explicit config.
@@ -176,11 +200,7 @@ impl MeasurementCampaign {
     /// [`JobFailure`]s, otherwise they abort the process exactly as an
     /// aborted visit did before the durable runner existed.
     fn page_visit(&self, site: usize, cfg: &VisitConfig) -> HarPage {
-        if self.config.inject_panic_site == Some(site) {
-            std::panic::panic_any(format!(
-                "deliberately injected panic at site {site} (H3CDN_PANIC_SITE chaos hook)"
-            ));
-        }
+        self.fire_chaos_hook(site);
         match try_visit_page(
             &self.corpus.pages[site],
             &self.corpus.domains,
@@ -200,17 +220,14 @@ impl MeasurementCampaign {
         let mode = cfg.mode.label();
         let vantage = cfg.vantage.name().to_lowercase();
         let cfg_hash = fnv1a64(format!("{cfg:?}").as_bytes());
-        let mut repro = format!(
+        let repro = format!(
             "cargo run -q -p h3cdn-experiments --bin visit_one -- \
              --pages {} --seed {} --site {site} --vantage {vantage} --mode {mode}",
             w.num_pages, w.seed
         );
-        if self.config.inject_panic_site == Some(site) {
-            repro = format!("H3CDN_PANIC_SITE={site} {repro}");
-        }
         JobMeta {
             label: format!("site {site} {mode} @ {vantage} cfg={cfg_hash:016x}"),
-            repro,
+            repro: self.chaos_repro(site, repro),
         }
     }
 

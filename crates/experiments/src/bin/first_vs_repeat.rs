@@ -74,11 +74,7 @@ fn main() {
                 cfg.alt_svc_discovery = cold;
                 let meta = JobMeta {
                     label: format!("{mode} visit site {site} {proto} @ {vantage}"),
-                    repro: if config.inject_panic_site == Some(site) {
-                        format!("H3CDN_PANIC_SITE={site} {repro}")
-                    } else {
-                        repro.clone()
-                    },
+                    repro: campaign.chaos_repro(site, repro.clone()),
                 };
                 jobs.push(((mi as u32, site as u32, variant), meta, move || {
                     campaign.visit_with(site, &cfg).plt_ms

@@ -20,25 +20,22 @@
 //! penalty. The fault-free control row is bit-identical to the plain
 //! campaign visit paths for every worker count.
 
-use std::collections::BTreeMap;
-use std::fmt;
-
-use h3cdn_analysis::median;
+use h3cdn_analysis::finite_median;
 use h3cdn_browser::{try_visit_page, BrokenQuicCache, FaultSpec};
-use h3cdn_cdn::Vantage;
 use h3cdn_netsim::FaultPlan;
 use h3cdn_sim_core::{SimDuration, SimTime};
 use h3cdn_transport::tls::TicketStore;
 use h3cdn_web::{DomainTable, Webpage};
 use serde::{Deserialize, Serialize};
 
-use h3cdn::runner::durable::JobMeta;
-use h3cdn::{MeasurementCampaign, ProtocolMode, VisitConfig};
+use h3cdn::VisitConfig;
+
+use crate::sweep::{self, fmt_ms, Arm, Column, Grid, Row, Sweep, Table};
 
 /// One impairment scenario: a fault plan installed symmetrically on a
 /// deterministic fraction of each page's client↔server paths.
 #[derive(Debug, Clone)]
-pub struct FaultScenario {
+pub(crate) struct FaultScenario {
     /// Scenario label used in reports.
     pub name: String,
     /// The impairment; `None` leaves every path fault-free.
@@ -46,15 +43,6 @@ pub struct FaultScenario {
 }
 
 impl FaultScenario {
-    /// No impairment — the control row. Its numbers must match the
-    /// plain campaign visit paths bit-for-bit.
-    pub fn fault_free() -> Self {
-        FaultScenario {
-            name: "none".to_owned(),
-            faults: None,
-        }
-    }
-
     /// A permanent UDP blackhole on `fraction` of each page's domains:
     /// QUIC packets vanish silently while TCP flows untouched — the
     /// middlebox failure mode that motivated Chrome's fallback.
@@ -84,51 +72,9 @@ impl FaultScenario {
     }
 }
 
-/// The default sweep: control, partial and total UDP blackholes, and a
-/// mid-visit blackout.
-pub fn default_scenarios() -> Vec<FaultScenario> {
-    vec![
-        FaultScenario::fault_free(),
-        FaultScenario::udp_blackhole(0.5),
-        FaultScenario::udp_blackhole(1.0),
-        FaultScenario::blackout_ms(50, 1500),
-    ]
-}
-
-/// The protocol/fallback arms of the matrix.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Arm {
-    H2,
-    H3NoFallback,
-    H3WithFallback,
-}
-
-impl Arm {
-    const ALL: [Arm; 3] = [Arm::H2, Arm::H3NoFallback, Arm::H3WithFallback];
-
-    fn label(self) -> &'static str {
-        match self {
-            Arm::H2 => "h2",
-            Arm::H3NoFallback => "h3",
-            Arm::H3WithFallback => "h3+fallback",
-        }
-    }
-
-    fn mode(self) -> ProtocolMode {
-        match self {
-            Arm::H2 => ProtocolMode::H2Only,
-            Arm::H3NoFallback | Arm::H3WithFallback => ProtocolMode::H3Enabled,
-        }
-    }
-
-    fn fallback(self) -> bool {
-        matches!(self, Arm::H3WithFallback)
-    }
-}
-
 /// One `(scenario, arm)` cell of the matrix.
 #[derive(Debug, Clone, Serialize)]
-pub struct FaultCell {
+pub(crate) struct FaultCell {
     /// Scenario label.
     pub scenario: String,
     /// Arm label (`h2` / `h3` / `h3+fallback`).
@@ -159,29 +105,40 @@ pub struct FaultCell {
     pub plts_ms: Vec<f64>,
 }
 
-/// The full matrix, rows scenario-major in input order, arms
-/// `h2`, `h3`, `h3+fallback` within each scenario.
-#[derive(Debug, Clone, Serialize)]
-pub struct FaultMatrix {
-    /// One row per `(scenario, arm)`.
-    pub rows: Vec<FaultCell>,
-}
+impl Row for FaultCell {
+    const TITLE: &'static str =
+        "Fault matrix: impairments x {h2, h3, h3+fallback} (per-cell aggregates)";
+    const SCENARIO_WIDTH: usize = 22;
+    const COLUMNS: &'static [Column<Self>] = &[
+        ("pages", 6, |r| r.pages.to_string()),
+        ("aborted", 8, |r| r.aborted.to_string()),
+        ("med PLT ms", 12, |r| fmt_ms(r.median_plt_ms)),
+        ("d-h2 ms", 10, |r| fmt_ms(r.plt_delta_vs_h2_ms)),
+        ("fb pages", 9, |r| r.fallback_pages.to_string()),
+        ("fallbacks", 10, |r| r.h3_fallbacks.to_string()),
+        ("fb wait ms", 11, |r| {
+            format!("{:.1}", r.mean_fallback_wait_ms)
+        }),
+        ("retries", 8, |r| r.conn_retries.to_string()),
+        ("dropped", 9, |r| r.fault_dropped_packets.to_string()),
+    ];
 
-impl FaultMatrix {
-    /// The cell for the given scenario and arm labels, if present.
-    pub fn cell(&self, scenario: &str, arm: &str) -> Option<&FaultCell> {
-        self.rows
-            .iter()
-            .find(|r| r.scenario == scenario && r.arm == arm)
+    fn scenario(&self) -> &str {
+        &self.scenario
+    }
+
+    fn arm(&self) -> &str {
+        &self.arm
+    }
+
+    fn plts_ms(&self) -> &[f64] {
+        &self.plts_ms
     }
 }
 
-/// One page load's contribution to a cell. Serialized into the
-/// checkpoint journal under a durable context; `NaN` PLTs round-trip
-/// through JSON `null` back to the canonical [`f64::NAN`] this module
-/// writes, so resumed matrices stay bit-identical.
+/// One page load's contribution to a cell.
 #[derive(Debug, Clone, Serialize, Deserialize)]
-struct Sample {
+pub(crate) struct Sample {
     /// `NaN` when the visit aborted.
     plt_ms: f64,
     h3_fallbacks: u64,
@@ -190,113 +147,78 @@ struct Sample {
     fault_dropped: u64,
 }
 
-/// Loads one page under `cfg`, reducing the outcome (completed or
-/// aborted) to a [`Sample`].
-fn sample(page: &Webpage, domains: &DomainTable, cfg: &VisitConfig) -> Sample {
-    match try_visit_page(
-        page,
-        domains,
-        cfg,
-        TicketStore::new(),
-        BrokenQuicCache::new(),
-    ) {
-        Ok(o) => Sample {
-            plt_ms: o.har.plt_ms,
-            h3_fallbacks: o.resilience.h3_fallbacks,
-            fallback_wait_ms: o.resilience.fallback_wait.as_millis_f64(),
-            conn_retries: o.resilience.conn_retries,
-            fault_dropped: o.stats.packets_fault_dropped,
-        },
-        Err(a) => Sample {
-            plt_ms: f64::NAN,
-            h3_fallbacks: a.resilience.h3_fallbacks,
-            fallback_wait_ms: a.resilience.fallback_wait.as_millis_f64(),
-            conn_retries: a.resilience.conn_retries,
-            fault_dropped: a.stats.packets_fault_dropped,
-        },
+impl Sweep for FaultScenario {
+    type Sample = Sample;
+    type Cell = FaultCell;
+
+    const BIN: &'static str = "fault_matrix";
+    const JOB: &'static str = "fault";
+    const SMOKE_PAGES: usize = 6;
+
+    fn name(&self) -> &str {
+        &self.name
     }
-}
 
-/// Median PLT over the completed loads of a cell.
-fn completed_median(samples: &[Sample]) -> f64 {
-    let done: Vec<f64> = samples
-        .iter()
-        .map(|s| s.plt_ms)
-        .filter(|p| p.is_finite())
-        .collect();
-    median(&done)
-}
-
-/// Runs the matrix: `scenarios × {h2, h3, h3+fallback} × sites` as one
-/// batch of keyed jobs on the campaign's execution layer (the plain
-/// deterministic pool, or the crash-safe runner when the campaign
-/// carries a durable context). The key-ordered merge makes the output
-/// bit-identical for every worker count. Quarantined loads are dropped
-/// from their cell (shrinking its `pages` count) and reported through
-/// the campaign's quarantine sink.
-pub fn run(
-    campaign: &MeasurementCampaign,
-    vantage: Vantage,
-    scenarios: &[FaultScenario],
-) -> FaultMatrix {
-    let domains = &campaign.corpus().domains;
-    let w = &campaign.config().workload;
-    let mut jobs = Vec::new();
-    for (si, sc) in scenarios.iter().enumerate() {
-        for (ai, arm) in Arm::ALL.iter().enumerate() {
-            for (site, page) in campaign.corpus().pages.iter().enumerate() {
-                let mut cfg = campaign
-                    .config()
-                    .visit
-                    .clone()
-                    .with_vantage(vantage)
-                    .with_mode(arm.mode())
-                    .with_h3_fallback(arm.fallback());
-                if let Some(f) = &sc.faults {
-                    cfg = cfg.with_faults(f.clone());
-                }
-                let meta = JobMeta {
-                    label: format!("fault '{}' {} site {site}", sc.name, arm.label()),
-                    repro: format!(
-                        "cargo run -q -p h3cdn-experiments --bin fault_matrix -- \
-                         --pages {} --seed {}",
-                        w.num_pages, w.seed
-                    ),
-                };
-                jobs.push(((si as u32, ai as u32, site as u32), meta, move || {
-                    sample(page, domains, &cfg)
-                }));
-            }
+    /// No impairment.
+    fn control() -> Self {
+        FaultScenario {
+            name: "none".to_owned(),
+            faults: None,
         }
     }
-    let keyed = campaign.run_durable("fault-matrix", jobs);
 
-    let mut by_cell: BTreeMap<(u32, u32), Vec<Sample>> = BTreeMap::new();
-    for ((si, ai, _site), s) in keyed.into_iter().filter_map(|(k, s)| Some((k, s?))) {
-        by_cell.entry((si, ai)).or_default().push(s);
+    /// Control, partial and total UDP blackholes, and a mid-visit
+    /// blackout.
+    fn default_scenarios() -> Vec<Self> {
+        vec![
+            FaultScenario::control(),
+            FaultScenario::udp_blackhole(0.5),
+            FaultScenario::udp_blackhole(1.0),
+            FaultScenario::blackout_ms(50, 1500),
+        ]
     }
-    // H2 medians per scenario feed the delta column.
-    let mut h2_median: BTreeMap<u32, f64> = BTreeMap::new();
-    for ((si, ai), samples) in &by_cell {
-        if *ai == 0 {
-            h2_median.insert(*si, completed_median(samples));
+
+    fn configure(&self, cfg: VisitConfig) -> VisitConfig {
+        match &self.faults {
+            Some(f) => cfg.with_faults(f.clone()),
+            None => cfg,
         }
     }
-    let mut rows = Vec::new();
-    for ((si, ai), samples) in &by_cell {
-        let scenario = scenarios
-            .get(*si as usize)
-            .map_or(String::new(), |s| s.name.clone());
-        let arm = Arm::ALL.get(*ai as usize).map_or("?", |a| a.label());
-        let med = completed_median(samples);
-        let h2 = h2_median.get(si).copied().unwrap_or(f64::NAN);
+
+    fn sample(&self, page: &Webpage, domains: &DomainTable, cfg: &VisitConfig) -> Sample {
+        let (plt_ms, resilience, stats) = match try_visit_page(
+            page,
+            domains,
+            cfg,
+            TicketStore::new(),
+            BrokenQuicCache::new(),
+        ) {
+            Ok(o) => (o.har.plt_ms, o.resilience, o.stats),
+            Err(a) => (f64::NAN, a.resilience, a.stats),
+        };
+        Sample {
+            plt_ms,
+            h3_fallbacks: resilience.h3_fallbacks,
+            fallback_wait_ms: resilience.fallback_wait.as_millis_f64(),
+            conn_retries: resilience.conn_retries,
+            fault_dropped: stats.packets_fault_dropped,
+        }
+    }
+
+    fn reduce(grid: &Grid<'_, Self>, si: usize, arm: Arm, samples: &[Sample]) -> FaultCell {
+        let plts = |samples: &[Sample]| samples.iter().map(|s| s.plt_ms).collect::<Vec<_>>();
+        let plts_ms = plts(samples);
+        let (med, aborted) = finite_median(&plts_ms);
+        let h2 = grid
+            .samples(si, Arm::H2)
+            .map_or(f64::NAN, |h2| finite_median(&plts(h2)).0);
         let fallbacks: u64 = samples.iter().map(|s| s.h3_fallbacks).sum();
         let wait_ms: f64 = samples.iter().map(|s| s.fallback_wait_ms).sum();
-        rows.push(FaultCell {
-            scenario,
-            arm: arm.to_owned(),
+        FaultCell {
+            scenario: grid.scenarios[si].name.clone(),
+            arm: arm.label().to_owned(),
             pages: samples.len(),
-            aborted: samples.iter().filter(|s| !s.plt_ms.is_finite()).count(),
+            aborted,
             median_plt_ms: med,
             plt_delta_vs_h2_ms: med - h2,
             fallback_pages: samples.iter().filter(|s| s.h3_fallbacks > 0).count(),
@@ -308,105 +230,44 @@ pub fn run(
             },
             conn_retries: samples.iter().map(|s| s.conn_retries).sum(),
             fault_dropped_packets: samples.iter().map(|s| s.fault_dropped).sum(),
-            plts_ms: samples.iter().map(|s| s.plt_ms).collect(),
-        });
-    }
-    FaultMatrix { rows }
-}
-
-/// `"-"` for non-finite values (nothing completed / no reference).
-fn fmt_ms(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v:.1}")
-    } else {
-        "-".to_owned()
-    }
-}
-
-impl fmt::Display for FaultMatrix {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        writeln!(
-            f,
-            "Fault matrix: impairments x {{h2, h3, h3+fallback}} (per-cell aggregates)"
-        )?;
-        writeln!(
-            f,
-            "{:<22} {:<12} {:>6} {:>8} {:>12} {:>10} {:>9} {:>10} {:>11} {:>8} {:>9}",
-            "scenario",
-            "arm",
-            "pages",
-            "aborted",
-            "med PLT ms",
-            "d-h2 ms",
-            "fb pages",
-            "fallbacks",
-            "fb wait ms",
-            "retries",
-            "dropped"
-        )?;
-        for r in &self.rows {
-            writeln!(
-                f,
-                "{:<22} {:<12} {:>6} {:>8} {:>12} {:>10} {:>9} {:>10} {:>11.1} {:>8} {:>9}",
-                r.scenario,
-                r.arm,
-                r.pages,
-                r.aborted,
-                fmt_ms(r.median_plt_ms),
-                fmt_ms(r.plt_delta_vs_h2_ms),
-                r.fallback_pages,
-                r.h3_fallbacks,
-                r.mean_fallback_wait_ms,
-                r.conn_retries,
-                r.fault_dropped_packets
-            )?;
+            plts_ms,
         }
-        Ok(())
     }
+
+    /// Nothing aborts or falls back in the control row. Under a total
+    /// UDP blackhole TCP is untouched, H3 strands without fallback,
+    /// and with fallback every page completes at a nonzero
+    /// time-to-fallback penalty.
+    fn check_smoke(matrix: &Table<FaultCell>) {
+        for arm in Arm::ALL.map(Arm::label) {
+            let c = matrix.cell("none", arm);
+            assert_eq!(c.aborted, 0, "fault-free {arm} must complete all pages");
+            assert_eq!(c.h3_fallbacks, 0, "fault-free {arm} must not fall back");
+        }
+        let h2 = matrix.cell("udp-blackhole 100%", "h2");
+        assert_eq!(h2.aborted, 0, "TCP must ignore a UDP blackhole");
+        let h3 = matrix.cell("udp-blackhole 100%", "h3");
+        assert!(h3.aborted > 0, "blackholed H3 without fallback must strand");
+        let fb = matrix.cell("udp-blackhole 100%", "h3+fallback");
+        assert_eq!(fb.aborted, 0, "fallback must complete every page");
+        assert!(fb.h3_fallbacks > 0, "fallbacks must be counted");
+        assert!(
+            fb.mean_fallback_wait_ms > 0.0,
+            "time-to-fallback penalty must be nonzero"
+        );
+    }
+}
+
+/// The `fault_matrix` binary.
+pub fn main() {
+    sweep::main::<FaultScenario>();
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use h3cdn::runner::RunnerConfig;
-    use h3cdn::{CampaignConfig, MeasurementCampaign};
-
-    #[test]
-    fn fault_free_rows_match_campaign_paths_bitwise() {
-        let cfg = CampaignConfig::small(3, 11);
-        let serial = MeasurementCampaign::new(cfg.clone().with_runner(RunnerConfig::serial()));
-        let parallel =
-            MeasurementCampaign::new(cfg.with_runner(RunnerConfig::default().with_jobs(8)));
-        let scenarios = vec![FaultScenario::fault_free()];
-        let a = run(&serial, Vantage::Utah, &scenarios);
-        let b = run(&parallel, Vantage::Utah, &scenarios);
-        assert_eq!(a.rows.len(), 3);
-        // Worker-count invariance, bit for bit.
-        for (ra, rb) in a.rows.iter().zip(&b.rows) {
-            assert_eq!(ra.median_plt_ms.to_bits(), rb.median_plt_ms.to_bits());
-            for (x, y) in ra.plts_ms.iter().zip(&rb.plts_ms) {
-                assert_eq!(x.to_bits(), y.to_bits());
-            }
-        }
-        // The H2/H3 arms reproduce the plain campaign visit paths
-        // exactly, and the fallback arm is bit-identical to plain H3:
-        // the insurance machinery is free on healthy paths.
-        let h2 = a.cell("none", "h2").expect("h2 row");
-        let h3 = a.cell("none", "h3").expect("h3 row");
-        let fb = a.cell("none", "h3+fallback").expect("fallback row");
-        assert_eq!(h2.aborted + h3.aborted + fb.aborted, 0);
-        for site in 0..3usize {
-            let want_h2 = serial
-                .visit(site, Vantage::Utah, ProtocolMode::H2Only)
-                .plt_ms;
-            let want_h3 = serial
-                .visit(site, Vantage::Utah, ProtocolMode::H3Enabled)
-                .plt_ms;
-            assert_eq!(h2.plts_ms[site].to_bits(), want_h2.to_bits());
-            assert_eq!(h3.plts_ms[site].to_bits(), want_h3.to_bits());
-            assert_eq!(fb.plts_ms[site].to_bits(), want_h3.to_bits());
-        }
-    }
+    use crate::sweep::run;
+    use h3cdn::{CampaignConfig, MeasurementCampaign, Vantage};
 
     #[test]
     fn full_blackhole_is_survived_only_with_fallback() {
@@ -416,9 +277,9 @@ mod tests {
             Vantage::Utah,
             &[FaultScenario::udp_blackhole(1.0)],
         );
-        let h2 = m.cell("udp-blackhole 100%", "h2").expect("h2 row");
-        let h3 = m.cell("udp-blackhole 100%", "h3").expect("h3 row");
-        let fb = m.cell("udp-blackhole 100%", "h3+fallback").expect("fb row");
+        let h2 = m.cell("udp-blackhole 100%", "h2");
+        let h3 = m.cell("udp-blackhole 100%", "h3");
+        let fb = m.cell("udp-blackhole 100%", "h3+fallback");
         // TCP traffic never touches the blackhole.
         assert_eq!(h2.aborted, 0);
         assert_eq!(h2.fault_dropped_packets, 0);
@@ -443,7 +304,7 @@ mod tests {
             &campaign,
             Vantage::Utah,
             &[
-                FaultScenario::fault_free(),
+                FaultScenario::control(),
                 FaultScenario::blackout_ms(50, 400),
             ],
         );

@@ -36,9 +36,11 @@
 //! (panic isolation: a panicking job is quarantined on its first run);
 //! checkpointing to disk only happens with `--run-id`/`--resume`. The
 //! `H3CDN_PANIC_SITE=N` environment variable arms a chaos hook that
-//! deliberately panics every visit of site `N` — the end-to-end proof
-//! of the quarantine path (see the `visit_one` binary for replaying
-//! quarantined jobs).
+//! deliberately panics every page load of site `N`, the campaign's
+//! visits and every job of the resilience sweeps alike — the
+//! end-to-end proof of the quarantine path (see the `visit_one` binary
+//! for replaying quarantined visits; a sweep job's repro reruns the
+//! sweep).
 //!
 //! The figure/table regenerators themselves live here too, one module
 //! per artifact of the paper's evaluation: each consumes a
@@ -49,7 +51,9 @@
 //! crate — not `h3cdn` — because they are experiment-layer code: they
 //! consume `h3cdn-analysis`, which the layer map places above the
 //! campaign core (see DESIGN.md "Correctness policy & static
-//! analysis").
+//! analysis"). The three resilience sweeps (`fault_matrix`,
+//! `path_dynamics`, `edge_overload`) are scenario types on one
+//! scenario × arm engine, [`sweep`].
 
 pub mod edge_overload;
 pub mod fault_matrix;
@@ -65,6 +69,7 @@ pub mod path_dynamics;
 pub mod population;
 pub mod report;
 pub mod sensitivity;
+pub mod sweep;
 pub mod table1;
 pub mod table2;
 pub mod table3;

@@ -22,25 +22,22 @@
 //! every control millisecond costs two. The control row is bit-identical
 //! to the plain campaign visit paths for every worker count.
 
-use std::collections::BTreeMap;
-use std::fmt;
-
-use h3cdn_analysis::{linear_fit, median};
+use h3cdn_analysis::{finite_median, linear_fit, median};
 use h3cdn_browser::{try_visit_page, BrokenQuicCache};
-use h3cdn_cdn::Vantage;
 use h3cdn_netsim::{DynamicsProfile, QueueDiscipline};
 use h3cdn_transport::tls::TicketStore;
 use h3cdn_transport::CcAlgorithm;
 use h3cdn_web::{DomainTable, Webpage};
 use serde::{Deserialize, Serialize};
 
-use h3cdn::runner::durable::JobMeta;
-use h3cdn::{MeasurementCampaign, ProtocolMode, VisitConfig};
+use h3cdn::VisitConfig;
+
+use crate::sweep::{self, fmt_ms, Arm, Column, Grid, Row, Sweep, Table};
 
 /// One point of the sweep: a dynamics profile (or the static control),
 /// a congestion controller, and an access-queue discipline.
 #[derive(Debug, Clone)]
-pub struct DynamicsScenario {
+pub(crate) struct DynamicsScenario {
     /// Scenario label used in reports: `trace/cc/queue`.
     pub name: String,
     /// Congestion controller for both stacks.
@@ -52,18 +49,6 @@ pub struct DynamicsScenario {
 }
 
 impl DynamicsScenario {
-    /// The static control: no dynamics, Cubic, deep tail-drop — the
-    /// exact pre-dynamics fabric. Its numbers must match the plain
-    /// campaign visit paths bit-for-bit.
-    pub fn control() -> Self {
-        DynamicsScenario {
-            name: "static/cubic/droptail-deep".to_owned(),
-            cc: CcAlgorithm::Cubic,
-            queue: QueueDiscipline::DropTailDeep,
-            profile: None,
-        }
-    }
-
     /// A dynamic scenario named `trace/cc/queue`.
     pub fn dynamic(profile: DynamicsProfile, cc: CcAlgorithm, queue: QueueDiscipline) -> Self {
         DynamicsScenario {
@@ -75,88 +60,9 @@ impl DynamicsScenario {
     }
 }
 
-/// The full sweep: the control plus every trace × {cubic, bbr} ×
-/// {droptail-deep, droptail-shallow, codel} combination (19 scenarios).
-pub fn default_scenarios() -> Vec<DynamicsScenario> {
-    let mut v = vec![DynamicsScenario::control()];
-    for profile in DynamicsProfile::ALL {
-        for cc in [CcAlgorithm::Cubic, CcAlgorithm::Bbr] {
-            for queue in [
-                QueueDiscipline::DropTailDeep,
-                QueueDiscipline::DropTailShallow,
-                QueueDiscipline::CoDel,
-            ] {
-                v.push(DynamicsScenario::dynamic(profile, cc, queue));
-            }
-        }
-    }
-    v
-}
-
-/// The CI smoke subset: the control plus the four cells the smoke
-/// invariants compare (Cubic-vs-BBR bufferbloat on the deep-buffered
-/// oscillating bottleneck, CoDel on the same trace, and the handover
-/// trace the fallback arm must survive).
-pub fn smoke_scenarios() -> Vec<DynamicsScenario> {
-    vec![
-        DynamicsScenario::control(),
-        DynamicsScenario::dynamic(
-            DynamicsProfile::OscillatingBottleneck,
-            CcAlgorithm::Cubic,
-            QueueDiscipline::DropTailDeep,
-        ),
-        DynamicsScenario::dynamic(
-            DynamicsProfile::OscillatingBottleneck,
-            CcAlgorithm::Bbr,
-            QueueDiscipline::DropTailDeep,
-        ),
-        DynamicsScenario::dynamic(
-            DynamicsProfile::OscillatingBottleneck,
-            CcAlgorithm::Cubic,
-            QueueDiscipline::CoDel,
-        ),
-        DynamicsScenario::dynamic(
-            DynamicsProfile::CellularHandover,
-            CcAlgorithm::Cubic,
-            QueueDiscipline::DropTailDeep,
-        ),
-    ]
-}
-
-/// The protocol/fallback arms of the sweep.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Arm {
-    H2,
-    H3NoFallback,
-    H3WithFallback,
-}
-
-impl Arm {
-    const ALL: [Arm; 3] = [Arm::H2, Arm::H3NoFallback, Arm::H3WithFallback];
-
-    fn label(self) -> &'static str {
-        match self {
-            Arm::H2 => "h2",
-            Arm::H3NoFallback => "h3",
-            Arm::H3WithFallback => "h3+fallback",
-        }
-    }
-
-    fn mode(self) -> ProtocolMode {
-        match self {
-            Arm::H2 => ProtocolMode::H2Only,
-            Arm::H3NoFallback | Arm::H3WithFallback => ProtocolMode::H3Enabled,
-        }
-    }
-
-    fn fallback(self) -> bool {
-        matches!(self, Arm::H3WithFallback)
-    }
-}
-
 /// One `(scenario, arm)` cell of the sweep.
 #[derive(Debug, Clone, Serialize)]
-pub struct DynamicsCell {
+pub(crate) struct DynamicsCell {
     /// Scenario label (`trace/cc/queue`).
     pub scenario: String,
     /// Arm label (`h2` / `h3` / `h3+fallback`).
@@ -193,29 +99,40 @@ pub struct DynamicsCell {
     pub sojourns_ms: Vec<f64>,
 }
 
-/// The full sweep result, rows scenario-major in input order, arms
-/// `h2`, `h3`, `h3+fallback` within each scenario.
-#[derive(Debug, Clone, Serialize)]
-pub struct DynamicsSweep {
-    /// One row per `(scenario, arm)`.
-    pub rows: Vec<DynamicsCell>,
-}
+impl Row for DynamicsCell {
+    const TITLE: &'static str =
+        "Path dynamics: traces x cc x queue x {h2, h3, h3+fallback} (per-cell aggregates)";
+    const SCENARIO_WIDTH: usize = 28;
+    const COLUMNS: &'static [Column<Self>] = &[
+        ("pages", 6, |r| r.pages.to_string()),
+        ("aborted", 8, |r| r.aborted.to_string()),
+        ("med PLT ms", 12, |r| fmt_ms(r.median_plt_ms)),
+        ("slope", 6, |r| fmt_fit(r.slope_vs_control)),
+        ("r2", 5, |r| fmt_fit(r.r_squared)),
+        ("med soj ms", 10, |r| format!("{:.2}", r.median_sojourn_ms)),
+        ("max soj ms", 10, |r| format!("{:.1}", r.max_sojourn_ms)),
+        ("tail", 6, |r| r.tail_dropped.to_string()),
+        ("aqm", 5, |r| r.aqm_dropped.to_string()),
+        ("dyn drop", 8, |r| r.dynamics_dropped.to_string()),
+        ("fallbacks", 9, |r| r.h3_fallbacks.to_string()),
+    ];
 
-impl DynamicsSweep {
-    /// The cell for the given scenario and arm labels, if present.
-    pub fn cell(&self, scenario: &str, arm: &str) -> Option<&DynamicsCell> {
-        self.rows
-            .iter()
-            .find(|r| r.scenario == scenario && r.arm == arm)
+    fn scenario(&self) -> &str {
+        &self.scenario
+    }
+
+    fn arm(&self) -> &str {
+        &self.arm
+    }
+
+    fn plts_ms(&self) -> &[f64] {
+        &self.plts_ms
     }
 }
 
-/// One page load's contribution to a cell. Serialized into the
-/// checkpoint journal under a durable context; `NaN` PLTs round-trip
-/// through JSON `null` back to the canonical [`f64::NAN`] this module
-/// writes, so resumed sweeps stay bit-identical.
+/// One page load's contribution to a cell.
 #[derive(Debug, Clone, Serialize, Deserialize)]
-struct Sample {
+pub(crate) struct Sample {
     /// `NaN` when the visit aborted.
     plt_ms: f64,
     mean_sojourn_ms: f64,
@@ -224,40 +141,6 @@ struct Sample {
     aqm_dropped: u64,
     dynamics_dropped: u64,
     h3_fallbacks: u64,
-}
-
-/// Loads one page under `cfg`, reducing the outcome (completed or
-/// aborted) to a [`Sample`].
-fn sample(page: &Webpage, domains: &DomainTable, cfg: &VisitConfig) -> Sample {
-    let reduce = |plt_ms: f64, stats: &h3cdn_browser::VisitStats, fallbacks: u64| Sample {
-        plt_ms,
-        mean_sojourn_ms: stats.queue.mean_sojourn_ms(),
-        max_sojourn_ms: stats.queue.max_sojourn_ns as f64 / 1e6,
-        tail_dropped: stats.queue.tail_dropped,
-        aqm_dropped: stats.queue.aqm_dropped,
-        dynamics_dropped: stats.packets_dynamics_dropped,
-        h3_fallbacks: fallbacks,
-    };
-    match try_visit_page(
-        page,
-        domains,
-        cfg,
-        TicketStore::new(),
-        BrokenQuicCache::new(),
-    ) {
-        Ok(o) => reduce(o.har.plt_ms, &o.stats, o.resilience.h3_fallbacks),
-        Err(a) => reduce(f64::NAN, &a.stats, a.resilience.h3_fallbacks),
-    }
-}
-
-/// Median PLT over the completed loads of a cell.
-fn completed_median(samples: &[Sample]) -> f64 {
-    let done: Vec<f64> = samples
-        .iter()
-        .map(|s| s.plt_ms)
-        .filter(|p| p.is_finite())
-        .collect();
-    median(&done)
 }
 
 /// Fig. 9-style fit of a cell's PLTs against the same arm's control
@@ -282,113 +165,6 @@ fn fit_vs_control(control: &[f64], cell: &[f64]) -> (f64, f64) {
     (fit.slope, fit.r_squared)
 }
 
-/// Runs the sweep: `scenarios × {h2, h3, h3+fallback} × sites` as one
-/// batch of keyed jobs on the campaign's execution layer (the plain
-/// deterministic pool, or the crash-safe runner when the campaign
-/// carries a durable context). The key-ordered merge makes the output
-/// bit-identical for every worker count. Quarantined loads are dropped
-/// from their cell (shrinking its `pages` count) and reported through
-/// the campaign's quarantine sink.
-pub fn run(
-    campaign: &MeasurementCampaign,
-    vantage: Vantage,
-    scenarios: &[DynamicsScenario],
-) -> DynamicsSweep {
-    let domains = &campaign.corpus().domains;
-    let w = &campaign.config().workload;
-    let mut jobs = Vec::new();
-    for (si, sc) in scenarios.iter().enumerate() {
-        for (ai, arm) in Arm::ALL.iter().enumerate() {
-            for (site, page) in campaign.corpus().pages.iter().enumerate() {
-                let mut cfg = campaign
-                    .config()
-                    .visit
-                    .clone()
-                    .with_vantage(vantage)
-                    .with_mode(arm.mode())
-                    .with_h3_fallback(arm.fallback())
-                    .with_queue(sc.queue)
-                    .with_path_dynamics(sc.profile);
-                cfg.cc = sc.cc;
-                let meta = JobMeta {
-                    label: format!("dynamics '{}' {} site {site}", sc.name, arm.label()),
-                    repro: format!(
-                        "cargo run -q -p h3cdn-experiments --bin path_dynamics -- \
-                         --pages {} --seed {}",
-                        w.num_pages, w.seed
-                    ),
-                };
-                jobs.push(((si as u32, ai as u32, site as u32), meta, move || {
-                    sample(page, domains, &cfg)
-                }));
-            }
-        }
-    }
-    let keyed = campaign.run_durable("path-dynamics", jobs);
-
-    let mut by_cell: BTreeMap<(u32, u32), Vec<Sample>> = BTreeMap::new();
-    for ((si, ai, _site), s) in keyed.into_iter().filter_map(|(k, s)| Some((k, s?))) {
-        by_cell.entry((si, ai)).or_default().push(s);
-    }
-    // Control PLTs per arm feed the slope fits. The control is the
-    // first scenario named by `DynamicsScenario::control`, if present.
-    let control_si = scenarios
-        .iter()
-        .position(|s| s.profile.is_none())
-        .map(|i| i as u32);
-    let control_plts: BTreeMap<u32, Vec<f64>> = match control_si {
-        Some(ci) => Arm::ALL
-            .iter()
-            .enumerate()
-            .filter_map(|(ai, _)| {
-                let samples = by_cell.get(&(ci, ai as u32))?;
-                Some((ai as u32, samples.iter().map(|s| s.plt_ms).collect()))
-            })
-            .collect(),
-        None => BTreeMap::new(),
-    };
-    let mut rows = Vec::new();
-    for ((si, ai), samples) in &by_cell {
-        let scenario = scenarios
-            .get(*si as usize)
-            .map_or(String::new(), |s| s.name.clone());
-        let arm = Arm::ALL.get(*ai as usize).map_or("?", |a| a.label());
-        let plts: Vec<f64> = samples.iter().map(|s| s.plt_ms).collect();
-        let sojourns: Vec<f64> = samples.iter().map(|s| s.mean_sojourn_ms).collect();
-        let (slope, r2) = match control_plts.get(ai) {
-            Some(control) => fit_vs_control(control, &plts),
-            None => (f64::NAN, f64::NAN),
-        };
-        rows.push(DynamicsCell {
-            scenario,
-            arm: arm.to_owned(),
-            pages: samples.len(),
-            aborted: samples.iter().filter(|s| !s.plt_ms.is_finite()).count(),
-            median_plt_ms: completed_median(samples),
-            slope_vs_control: slope,
-            r_squared: r2,
-            median_sojourn_ms: median(&sojourns),
-            max_sojourn_ms: samples.iter().map(|s| s.max_sojourn_ms).fold(0.0, f64::max),
-            tail_dropped: samples.iter().map(|s| s.tail_dropped).sum(),
-            aqm_dropped: samples.iter().map(|s| s.aqm_dropped).sum(),
-            dynamics_dropped: samples.iter().map(|s| s.dynamics_dropped).sum(),
-            h3_fallbacks: samples.iter().map(|s| s.h3_fallbacks).sum(),
-            plts_ms: plts,
-            sojourns_ms: sojourns,
-        });
-    }
-    DynamicsSweep { rows }
-}
-
-/// `"-"` for non-finite values (nothing completed / no fit).
-fn fmt_ms(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v:.1}")
-    } else {
-        "-".to_owned()
-    }
-}
-
 /// `"-"` for a non-finite fit statistic.
 fn fmt_fit(v: f64) -> String {
     if v.is_finite() {
@@ -398,97 +174,172 @@ fn fmt_fit(v: f64) -> String {
     }
 }
 
-impl fmt::Display for DynamicsSweep {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        writeln!(
-            f,
-            "Path dynamics: traces x cc x queue x {{h2, h3, h3+fallback}} (per-cell aggregates)"
-        )?;
-        writeln!(
-            f,
-            "{:<28} {:<12} {:>6} {:>8} {:>12} {:>6} {:>5} {:>10} {:>10} {:>6} {:>5} {:>8} {:>9}",
-            "scenario",
-            "arm",
-            "pages",
-            "aborted",
-            "med PLT ms",
-            "slope",
-            "r2",
-            "med soj ms",
-            "max soj ms",
-            "tail",
-            "aqm",
-            "dyn drop",
-            "fallbacks"
-        )?;
-        for r in &self.rows {
-            writeln!(
-                f,
-                "{:<28} {:<12} {:>6} {:>8} {:>12} {:>6} {:>5} {:>10.2} {:>10.1} {:>6} {:>5} {:>8} {:>9}",
-                r.scenario,
-                r.arm,
-                r.pages,
-                r.aborted,
-                fmt_ms(r.median_plt_ms),
-                fmt_fit(r.slope_vs_control),
-                fmt_fit(r.r_squared),
-                r.median_sojourn_ms,
-                r.max_sojourn_ms,
-                r.tail_dropped,
-                r.aqm_dropped,
-                r.dynamics_dropped,
-                r.h3_fallbacks
-            )?;
-        }
-        Ok(())
+impl Sweep for DynamicsScenario {
+    type Sample = Sample;
+    type Cell = DynamicsCell;
+
+    const BIN: &'static str = "path_dynamics";
+    const JOB: &'static str = "dynamics";
+    const SMOKE_PAGES: usize = 4;
+
+    fn name(&self) -> &str {
+        &self.name
     }
+
+    /// No dynamics, Cubic, deep tail-drop: the exact pre-dynamics
+    /// fabric.
+    fn control() -> Self {
+        DynamicsScenario {
+            name: "static/cubic/droptail-deep".to_owned(),
+            cc: CcAlgorithm::Cubic,
+            queue: QueueDiscipline::DropTailDeep,
+            profile: None,
+        }
+    }
+
+    /// The control plus every trace × {cubic, bbr} × {droptail-deep,
+    /// droptail-shallow, codel} combination (19 scenarios).
+    fn default_scenarios() -> Vec<Self> {
+        let mut v = vec![DynamicsScenario::control()];
+        for profile in DynamicsProfile::ALL {
+            for cc in [CcAlgorithm::Cubic, CcAlgorithm::Bbr] {
+                for queue in [
+                    QueueDiscipline::DropTailDeep,
+                    QueueDiscipline::DropTailShallow,
+                    QueueDiscipline::CoDel,
+                ] {
+                    v.push(DynamicsScenario::dynamic(profile, cc, queue));
+                }
+            }
+        }
+        v
+    }
+
+    /// The control plus the four cells the smoke invariants compare
+    /// (Cubic-vs-BBR bufferbloat on the deep-buffered oscillating
+    /// bottleneck, CoDel on the same trace, and the handover trace the
+    /// fallback arm must survive).
+    fn smoke_scenarios() -> Vec<Self> {
+        vec![
+            DynamicsScenario::control(),
+            DynamicsScenario::dynamic(
+                DynamicsProfile::OscillatingBottleneck,
+                CcAlgorithm::Cubic,
+                QueueDiscipline::DropTailDeep,
+            ),
+            DynamicsScenario::dynamic(
+                DynamicsProfile::OscillatingBottleneck,
+                CcAlgorithm::Bbr,
+                QueueDiscipline::DropTailDeep,
+            ),
+            DynamicsScenario::dynamic(
+                DynamicsProfile::OscillatingBottleneck,
+                CcAlgorithm::Cubic,
+                QueueDiscipline::CoDel,
+            ),
+            DynamicsScenario::dynamic(
+                DynamicsProfile::CellularHandover,
+                CcAlgorithm::Cubic,
+                QueueDiscipline::DropTailDeep,
+            ),
+        ]
+    }
+
+    fn configure(&self, cfg: VisitConfig) -> VisitConfig {
+        let mut cfg = cfg.with_queue(self.queue).with_path_dynamics(self.profile);
+        cfg.cc = self.cc;
+        cfg
+    }
+
+    fn sample(&self, page: &Webpage, domains: &DomainTable, cfg: &VisitConfig) -> Sample {
+        let (plt_ms, stats, resilience) = match try_visit_page(
+            page,
+            domains,
+            cfg,
+            TicketStore::new(),
+            BrokenQuicCache::new(),
+        ) {
+            Ok(o) => (o.har.plt_ms, o.stats, o.resilience),
+            Err(a) => (f64::NAN, a.stats, a.resilience),
+        };
+        Sample {
+            plt_ms,
+            mean_sojourn_ms: stats.queue.mean_sojourn_ms(),
+            max_sojourn_ms: stats.queue.max_sojourn_ns as f64 / 1e6,
+            tail_dropped: stats.queue.tail_dropped,
+            aqm_dropped: stats.queue.aqm_dropped,
+            dynamics_dropped: stats.packets_dynamics_dropped,
+            h3_fallbacks: resilience.h3_fallbacks,
+        }
+    }
+
+    /// The slope fit runs against the same arm's cell of the first
+    /// static scenario, if present.
+    fn reduce(grid: &Grid<'_, Self>, si: usize, arm: Arm, samples: &[Sample]) -> DynamicsCell {
+        let plts = |samples: &[Sample]| samples.iter().map(|s| s.plt_ms).collect::<Vec<_>>();
+        let control = grid
+            .scenarios
+            .iter()
+            .position(|s| s.profile.is_none())
+            .and_then(|ci| grid.samples(ci, arm));
+        let plts_ms = plts(samples);
+        let (slope, r2) = match control {
+            Some(control) => fit_vs_control(&plts(control), &plts_ms),
+            None => (f64::NAN, f64::NAN),
+        };
+        let sojourns: Vec<f64> = samples.iter().map(|s| s.mean_sojourn_ms).collect();
+        let (median_plt_ms, aborted) = finite_median(&plts_ms);
+        DynamicsCell {
+            scenario: grid.scenarios[si].name.clone(),
+            arm: arm.label().to_owned(),
+            pages: samples.len(),
+            aborted,
+            median_plt_ms,
+            slope_vs_control: slope,
+            r_squared: r2,
+            median_sojourn_ms: median(&sojourns),
+            max_sojourn_ms: samples.iter().map(|s| s.max_sojourn_ms).fold(0.0, f64::max),
+            tail_dropped: samples.iter().map(|s| s.tail_dropped).sum(),
+            aqm_dropped: samples.iter().map(|s| s.aqm_dropped).sum(),
+            dynamics_dropped: samples.iter().map(|s| s.dynamics_dropped).sum(),
+            h3_fallbacks: samples.iter().map(|s| s.h3_fallbacks).sum(),
+            plts_ms,
+            sojourns_ms: sojourns,
+        }
+    }
+
+    /// BBR carries less standing queue than Cubic in the deep-buffered
+    /// oscillating bottleneck, and the handover trace does not strand a
+    /// fallback-armed browser.
+    fn check_smoke(sweep: &Table<DynamicsCell>) {
+        // Bufferbloat: BBR's model keeps the deep oscillating-bottleneck
+        // buffer emptier than Cubic's fill-until-loss probing.
+        let cubic = sweep.cell("oscillate/cubic/droptail-deep", "h3");
+        let bbr = sweep.cell("oscillate/bbr/droptail-deep", "h3");
+        assert!(
+            bbr.median_sojourn_ms < cubic.median_sojourn_ms,
+            "BBR must carry less standing queue than Cubic: {:.3}ms vs {:.3}ms",
+            bbr.median_sojourn_ms,
+            cubic.median_sojourn_ms
+        );
+        let fb = sweep.cell("handover/cubic/droptail-deep", "h3+fallback");
+        assert_eq!(
+            fb.aborted, 0,
+            "fallback must complete every page across handovers"
+        );
+    }
+}
+
+/// The `path_dynamics` binary.
+pub fn main() {
+    sweep::main::<DynamicsScenario>();
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use h3cdn::runner::RunnerConfig;
-    use h3cdn::{CampaignConfig, MeasurementCampaign};
-
-    #[test]
-    fn control_rows_match_campaign_paths_bitwise() {
-        let cfg = CampaignConfig::small(3, 11);
-        let serial = MeasurementCampaign::new(cfg.clone().with_runner(RunnerConfig::serial()));
-        let parallel =
-            MeasurementCampaign::new(cfg.with_runner(RunnerConfig::default().with_jobs(8)));
-        let scenarios = vec![DynamicsScenario::control()];
-        let a = run(&serial, Vantage::Utah, &scenarios);
-        let b = run(&parallel, Vantage::Utah, &scenarios);
-        assert_eq!(a.rows.len(), 3);
-        // Worker-count invariance, bit for bit.
-        for (ra, rb) in a.rows.iter().zip(&b.rows) {
-            assert_eq!(ra.median_plt_ms.to_bits(), rb.median_plt_ms.to_bits());
-            for (x, y) in ra.plts_ms.iter().zip(&rb.plts_ms) {
-                assert_eq!(x.to_bits(), y.to_bits());
-            }
-            for (x, y) in ra.sojourns_ms.iter().zip(&rb.sojourns_ms) {
-                assert_eq!(x.to_bits(), y.to_bits());
-            }
-        }
-        // The control reproduces the plain campaign visit paths exactly:
-        // default queue + no dynamics is the pre-dynamics fabric.
-        let h2 = a.cell("static/cubic/droptail-deep", "h2").expect("h2 row");
-        let h3 = a.cell("static/cubic/droptail-deep", "h3").expect("h3 row");
-        assert_eq!(h2.aborted + h3.aborted, 0);
-        for site in 0..3usize {
-            let want_h2 = serial
-                .visit(site, Vantage::Utah, ProtocolMode::H2Only)
-                .plt_ms;
-            let want_h3 = serial
-                .visit(site, Vantage::Utah, ProtocolMode::H3Enabled)
-                .plt_ms;
-            assert_eq!(h2.plts_ms[site].to_bits(), want_h2.to_bits());
-            assert_eq!(h3.plts_ms[site].to_bits(), want_h3.to_bits());
-        }
-        // The control's fit against itself is the identity line.
-        assert!((h3.slope_vs_control - 1.0).abs() < 1e-9);
-        assert!((h3.r_squared - 1.0).abs() < 1e-9);
-    }
+    use crate::sweep::run;
+    use h3cdn::{CampaignConfig, MeasurementCampaign, Vantage};
 
     #[test]
     fn dynamics_slow_pages_and_populate_queue_stats() {
@@ -503,12 +354,8 @@ mod tests {
         ];
         let sweep = run(&campaign, Vantage::Utah, &scenarios);
         assert_eq!(sweep.rows.len(), 6);
-        let control = sweep
-            .cell("static/cubic/droptail-deep", "h3")
-            .expect("control");
-        let osc = sweep
-            .cell("oscillate/cubic/droptail-deep", "h3")
-            .expect("oscillate");
+        let control = sweep.cell("static/cubic/droptail-deep", "h3");
+        let osc = sweep.cell("oscillate/cubic/droptail-deep", "h3");
         assert_eq!(osc.aborted, 0, "oscillation must not strand pages");
         assert!(
             osc.median_plt_ms > control.median_plt_ms,
@@ -518,6 +365,9 @@ mod tests {
         );
         assert!(osc.median_sojourn_ms > 0.0);
         assert!(osc.max_sojourn_ms > 0.0);
+        // The control's fit against itself is the identity line.
+        assert!((control.slope_vs_control - 1.0).abs() < 1e-9);
+        assert!((control.r_squared - 1.0).abs() < 1e-9);
     }
 
     #[test]
@@ -542,14 +392,10 @@ mod tests {
 
     #[test]
     fn scenario_sets_are_well_formed() {
-        let all = default_scenarios();
+        let all = DynamicsScenario::default_scenarios();
         assert_eq!(all.len(), 1 + 3 * 2 * 3);
         assert_eq!(all[0].name, "static/cubic/droptail-deep");
-        let mut names: Vec<&str> = all.iter().map(|s| s.name.as_str()).collect();
-        names.sort_unstable();
-        names.dedup();
-        assert_eq!(names.len(), all.len(), "scenario names must be unique");
-        let smoke = smoke_scenarios();
+        let smoke = DynamicsScenario::smoke_scenarios();
         assert!(smoke.iter().any(|s| s.profile.is_none()));
         assert!(smoke
             .iter()

@@ -5,7 +5,8 @@
 //! dedup) is only admissible because it is bit-invisible: the JSON an
 //! experiment binary prints must be byte-identical across refactors
 //! and across `--jobs` levels. These tests pin the SHA-256 of the
-//! stdout streams of `fig2` and of every smoke sweep, each at `--jobs 1`
+//! stdout streams of `fig2` and of every smoke sweep (the JSON, and for
+//! the three resilience sweeps the text table too), each at `--jobs 1`
 //! and `--jobs 4`. If a change moves these hashes it
 //! either broke determinism or intentionally changed simulation
 //! semantics — in the latter case, re-record the constants and say so
@@ -28,6 +29,19 @@ const EDGE_OVERLOAD_SHA256: &str =
 /// at the seed CI runs it with.
 const PATH_DYNAMICS_SHA256: &str =
     "826eb044d927b53363d969f0066b0d4a3256331e72268651e327980165fb095c";
+
+/// `fault_matrix --smoke` — the fault matrix's text table.
+const FAULT_MATRIX_TABLE_SHA256: &str =
+    "96683cad7a10542a43df2277e4c138873b54d9021b9eab9533c54de924af24aa";
+
+/// `edge_overload --smoke` — the overload sweep's text table.
+const EDGE_OVERLOAD_TABLE_SHA256: &str =
+    "78b862826533e8fcb20cc67a68d103915a5bbaec721c382ca5893e5f38250c2c";
+
+/// `path_dynamics --smoke --seed 23` — the path-dynamics sweep's text
+/// table.
+const PATH_DYNAMICS_TABLE_SHA256: &str =
+    "75f5fb7d8b0052384e8cf511869acf80036f6d3cf3e7a55209e3cf93b8c846d7";
 
 /// `population --smoke --json` — the population-scale composition run.
 const POPULATION_SHA256: &str = "507990eefa408e0cf4eaf27dfa12aa8b191a1b8eb3065cfd9aa4bd4009e34bdc";
@@ -110,6 +124,29 @@ fn path_dynamics_smoke_json_is_golden() {
         &["--smoke", "--seed", "23", "--json"],
         PATH_DYNAMICS_SHA256,
     );
+}
+
+#[test]
+fn sweep_smoke_tables_are_golden() {
+    for (bin, args, golden) in [
+        (
+            env!("CARGO_BIN_EXE_fault_matrix"),
+            &["--smoke"][..],
+            FAULT_MATRIX_TABLE_SHA256,
+        ),
+        (
+            env!("CARGO_BIN_EXE_edge_overload"),
+            &["--smoke"][..],
+            EDGE_OVERLOAD_TABLE_SHA256,
+        ),
+        (
+            env!("CARGO_BIN_EXE_path_dynamics"),
+            &["--smoke", "--seed", "23"][..],
+            PATH_DYNAMICS_TABLE_SHA256,
+        ),
+    ] {
+        assert_golden_at_both_job_counts(bin, args, golden);
+    }
 }
 
 #[test]

@@ -80,6 +80,39 @@ fn first_vs_repeat_quarantines_a_chaos_page_and_completes() {
 }
 
 #[test]
+fn sweep_quarantines_a_chaos_site_in_every_cell() {
+    let out = run(
+        env!("CARGO_BIN_EXE_edge_overload"),
+        &["--pages", "3", "--seed", "11", "--jobs", "2"],
+        &[("H3CDN_PANIC_SITE", "1")],
+    );
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(out.status.success(), "edge_overload must survive: {stderr}");
+    // Site 1 of every (scenario, arm) cell: 6 scenarios x 3 arms.
+    assert!(
+        stderr.contains("campaign finished with 18 quarantined job(s)"),
+        "{stderr}"
+    );
+    let repro =
+        "repro: H3CDN_PANIC_SITE=1 cargo run -q -p h3cdn-experiments --bin edge_overload -- \
+                 --pages 3 --seed 11 --vantage utah";
+    assert!(
+        stderr.lines().any(|l| l.trim() == repro),
+        "repro re-arms the chaos hook and names the vantage: {stderr}"
+    );
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    let control: Vec<&str> = stdout
+        .lines()
+        .filter(|l| l.starts_with("control/solo"))
+        .collect();
+    assert_eq!(control.len(), 3, "{stdout}");
+    for row in control {
+        let pages = row.split_whitespace().nth(2);
+        assert_eq!(pages, Some("2"), "the poisoned page is dropped: {row}");
+    }
+}
+
+#[test]
 fn quarantine_repro_command_replays_the_panic() {
     // The repro the quarantine points at: visit_one with the chaos
     // hook armed panics in the foreground ...

@@ -6,11 +6,10 @@
 #
 #   scripts/ci.sh
 #
-# Steps: release build, full test suite, the fault-matrix smoke gate
-# (graceful-degradation invariants), the path-dynamics smoke gate
-# (continuous-dynamics resilience invariants), the edge-overload smoke
-# gate (admission-control / fallback-storm invariants, worker-count
-# invariance of the table), the SIGKILL-and-resume smoke
+# Steps: release build, full test suite, the resilience-sweep smoke
+# gates (fault_matrix, path_dynamics and edge_overload: each sweep's
+# invariants, control fidelity, worker-count invariance of the table),
+# the SIGKILL-and-resume smoke
 # (crash-safe checkpointing must reproduce a clean run byte-for-byte),
 # the population smoke gate (distribution-shape invariants at 10k
 # pages, worker-count invariance, shard-journal kill/resume), the
@@ -61,43 +60,27 @@ begin "cargo test"
 cargo test -q --workspace
 finish
 
-begin "fault_matrix --smoke (graceful-degradation gate)"
-cargo run -q --release -p h3cdn-experiments --bin fault_matrix -- --smoke --jobs 4 > /dev/null
-finish
-
-begin "path_dynamics --smoke (continuous-dynamics resilience gate)"
-# The smoke seed's 4-page corpus is heavy enough that slow-start
-# overshoot builds a real standing queue in the oscillating
+begin "resilience sweeps --smoke (fault_matrix, path_dynamics, edge_overload)"
+# Each bin asserts its sweep's invariants itself (graceful degradation,
+# continuous-dynamics resilience, admission control and fallback
+# storms), plus control fidelity: the control rows of all three arms
+# must reproduce the plain campaign visit paths bit for bit. The cmp
+# asserts worker-count invariance of the full table. path_dynamics runs
+# at --seed 23: that seed's 4-page corpus is heavy enough that
+# slow-start overshoot builds a real standing queue in the oscillating
 # bottleneck, so the BBR-vs-Cubic bufferbloat invariant compares
 # unequal medians rather than pages that finished before any queue
-# formed. The bin asserts the resilience invariants itself; the cmp
-# asserts worker-count invariance of the full table, bit for bit.
-PD_DIR="$(mktemp -d)"
-PD_ARGS=(--smoke --seed 23)
-cargo run -q --release -p h3cdn-experiments --bin path_dynamics -- \
-    "${PD_ARGS[@]}" --jobs 1 > "$PD_DIR/jobs1.txt"
-cargo run -q --release -p h3cdn-experiments --bin path_dynamics -- \
-    "${PD_ARGS[@]}" --jobs 4 > "$PD_DIR/jobs4.txt"
-cmp "$PD_DIR/jobs1.txt" "$PD_DIR/jobs4.txt"
-echo "    sweep output identical at --jobs 1 and --jobs 4"
-rm -rf "$PD_DIR"
-finish
-
-begin "edge_overload --smoke (overload / fallback-storm gate)"
-# The bin asserts the overload invariants itself: the starved herd
-# must refuse QUIC and strand the fallback-less h3 arm, the fallback
-# arm must complete every client with a visible H3→H2 storm, the
-# ample edge must refuse nobody, and the control row must reproduce
-# the plain campaign visit paths bit for bit. The cmp asserts
-# worker-count invariance of the full table.
-EO_DIR="$(mktemp -d)"
-cargo run -q --release -p h3cdn-experiments --bin edge_overload -- \
-    --smoke --jobs 1 > "$EO_DIR/jobs1.txt"
-cargo run -q --release -p h3cdn-experiments --bin edge_overload -- \
-    --smoke --jobs 4 > "$EO_DIR/jobs4.txt"
-cmp "$EO_DIR/jobs1.txt" "$EO_DIR/jobs4.txt"
-echo "    sweep output identical at --jobs 1 and --jobs 4"
-rm -rf "$EO_DIR"
+# formed.
+SWEEP_DIR="$(mktemp -d)"
+for sweep in "fault_matrix" "path_dynamics --seed 23" "edge_overload"; do
+    read -r -a cmd <<< "$sweep"
+    for jobs in 1 4; do
+        "target/release/${cmd[0]}" --smoke "${cmd[@]:1}" --jobs "$jobs" > "$SWEEP_DIR/jobs$jobs.txt"
+    done
+    cmp "$SWEEP_DIR/jobs1.txt" "$SWEEP_DIR/jobs4.txt"
+    echo "    ${cmd[0]} table identical at --jobs 1 and --jobs 4"
+done
+rm -rf "$SWEEP_DIR"
 finish
 
 begin "SIGKILL-and-resume smoke (crash-safe checkpointing)"
