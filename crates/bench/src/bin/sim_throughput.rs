@@ -35,12 +35,7 @@
 use std::process::ExitCode;
 use std::time::Instant;
 
-use h3cdn::cdn::EdgeConfig;
-use h3cdn::netsim::DynamicsProfile;
-use h3cdn_browser::{
-    run_swarm, try_visit_page, BrokenQuicCache, ProtocolMode, SwarmConfig, VisitConfig,
-    VisitOutcome,
-};
+use h3cdn_browser::{try_visit_page, BrokenQuicCache, ProtocolMode, VisitConfig, VisitOutcome};
 use h3cdn_transport::tls::TicketStore;
 use h3cdn_web::{
     generate, page_record, Corpus, DomainTable, PopulationSpec, Webpage, WorkloadSpec,
@@ -109,8 +104,6 @@ struct Args {
     update_baseline: Option<String>,
     tolerance: f64,
     label: Option<String>,
-    dynamics: bool,
-    edge: bool,
     population: bool,
 }
 
@@ -127,8 +120,6 @@ fn parse_args() -> Args {
             .and_then(|v| v.parse().ok())
             .unwrap_or(DEFAULT_TOLERANCE),
         label: None,
-        dynamics: false,
-        edge: false,
         population: false,
     };
     let mut smoke = false;
@@ -153,16 +144,12 @@ fn parse_args() -> Args {
                 a.update_baseline = Some(expect_value(args.next(), "--update-baseline"));
             }
             "--label" => a.label = Some(expect_value(args.next(), "--label")),
-            "--dynamics" => a.dynamics = true,
-            "--edge" => a.edge = true,
             "--population" => a.population = true,
             "--help" | "-h" => {
                 println!(
                     "sim_throughput: simulator hot-path benchmark + perf ratchet\n\
                      flags: --pages N  --seed S  --reps R  --smoke  --json PATH\n\
                      \x20      --check PATH  --tolerance F  --update-baseline PATH  --label L\n\
-                     \x20      --dynamics    (add a continuous-path-dynamics pass to the sweep)\n\
-                     \x20      --edge        (add an overloaded-edge swarm pass to the sweep)\n\
                      \x20      --population  (benchmark the population page-record generator\n\
                      \x20                     instead of the visit sweep; its own baseline row)"
                 );
@@ -182,7 +169,18 @@ fn parse_args() -> Args {
             (false, false) => DEFAULT_PAGES,
         };
     }
-    assert!(a.reps > 0, "--reps must be positive");
+    for (flag, value) in [("--pages", a.pages), ("--reps", a.reps)] {
+        if value == 0 {
+            eprintln!("sim_throughput: {flag} must be positive");
+            std::process::exit(2);
+        }
+    }
+    // A NaN or negative tolerance would disarm or invert the wall-clock
+    // gate without a word.
+    if !a.tolerance.is_finite() || a.tolerance < 0.0 {
+        eprintln!("sim_throughput: --tolerance must be a non-negative number");
+        std::process::exit(2);
+    }
     a
 }
 
@@ -212,7 +210,7 @@ fn visit(
 }
 
 /// One sweep over the fixed workload; returns `(visits, events)`.
-fn sweep(corpus: &Corpus, dynamics: bool, edge: bool) -> (u64, u64) {
+fn sweep(corpus: &Corpus) -> (u64, u64) {
     let mut visits = 0u64;
     let mut events = 0u64;
     // Isolated visits, both protocol modes.
@@ -232,43 +230,6 @@ fn sweep(corpus: &Corpus, dynamics: bool, edge: bool) -> (u64, u64) {
         tickets = outcome.tickets;
         visits += 1;
         events += outcome.stats.sim_events;
-    }
-    // Optional continuous-dynamics pass: the oscillating bottleneck
-    // exercises the per-packet trace sampling, set_rate drains and
-    // queue-stat accounting. Off by default so the committed
-    // trajectory's event counts stay comparable.
-    if dynamics {
-        let cfg =
-            VisitConfig::default().with_path_dynamics(Some(DynamicsProfile::OscillatingBottleneck));
-        for page in &corpus.pages {
-            let outcome = visit(page, &corpus.domains, &cfg, TicketStore::new());
-            visits += 1;
-            events += outcome.stats.sim_events;
-        }
-    }
-    // Optional overloaded-edge swarm pass: a thundering herd against a
-    // handshake-CPU-starved admission controller exercises refusal
-    // wiring, fallback storms and the re-dial backoff. Off by default
-    // for the same reason as the dynamics pass.
-    if edge {
-        let cfg = VisitConfig::default().with_h3_fallback(true);
-        let shape = SwarmConfig {
-            clients: 6,
-            arrival_spacing: h3cdn::sim_core::SimDuration::ZERO,
-            edge: Some(EdgeConfig {
-                cpu_tokens_per_sec: 40,
-                cpu_token_burst: 80,
-                tcp_handshake_tokens: 1,
-                quic_handshake_tokens: 40,
-                ..EdgeConfig::default()
-            }),
-        };
-        for page in &corpus.pages {
-            let out = run_swarm(page, &corpus.domains, &cfg, &shape)
-                .expect("the starved-edge profiling budget validates");
-            visits += out.clients.len() as u64;
-            events += out.stats.sim_events;
-        }
     }
     (visits, events)
 }
@@ -299,8 +260,7 @@ fn measure(args: &Args) -> BenchEntry {
                 .with_pages(args.pages)
                 .with_seed(args.seed),
         );
-        let (dynamics, edge) = (args.dynamics, args.edge);
-        Box::new(move || sweep(&corpus, dynamics, edge))
+        Box::new(move || sweep(&corpus))
     };
     // Warmup: one untimed sweep (page/cache/branch-predictor warm state).
     let (warm_visits, warm_events) = sweep_once();
@@ -418,31 +378,6 @@ fn check(fresh: &BenchEntry, baseline_path: &str, tolerance: f64) -> Result<Stri
 
 fn main() -> ExitCode {
     let args = parse_args();
-    // The population sweep is a different workload entirely; the visit
-    // profiling passes cannot be mixed into it.
-    if args.population && (args.dynamics || args.edge) {
-        eprintln!(
-            "sim_throughput: --population benchmarks the page-record generator; \
-             it cannot be combined with --dynamics or --edge"
-        );
-        return ExitCode::from(2);
-    }
-    // The dynamics and edge passes change the workload's event counts,
-    // so they can never be compared against (or recorded into) the
-    // committed static-workload trajectory.
-    if (args.dynamics || args.edge) && (args.check.is_some() || args.update_baseline.is_some()) {
-        let flag = if args.dynamics {
-            "--dynamics"
-        } else {
-            "--edge"
-        };
-        eprintln!(
-            "sim_throughput: {flag} is a profiling mode; it cannot be \
-             combined with --check or --update-baseline (the committed \
-             trajectory measures the static workload)"
-        );
-        return ExitCode::from(2);
-    }
     let entry = measure(&args);
     println!(
         "sim_throughput: {} pages x {} reps: {} visits, {} events in {:.0} ms",

@@ -1,10 +1,10 @@
 //! Golden-output determinism gate, driven through the real experiment
 //! binaries.
 //!
-//! The hot-path overhaul (timer-wheel queue, pooled packets, re-arm
-//! dedup) is only admissible because it is bit-invisible: the JSON an
-//! experiment binary prints must be byte-identical across refactors
-//! and across `--jobs` levels. These tests pin the SHA-256 of the
+//! Hot-path changes (pooled packets, re-arm dedup, swapping the event
+//! queue's data structure) are only admissible because they are
+//! bit-invisible: the JSON an experiment binary prints must be
+//! byte-identical across refactors and across `--jobs` levels. These tests pin the SHA-256 of the
 //! stdout streams of `fig2` and of every smoke sweep (the JSON, and for
 //! the three resilience sweeps the text table too), each at `--jobs 1`
 //! and `--jobs 4`. If a change moves these hashes it

@@ -297,11 +297,18 @@ impl h3cdn_transport::duplex::Driveable for QuicServer {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::h2::{H2Client, TcpServer};
     use crate::types::ResponseSpec;
     use h3cdn_netsim::NodeId;
     use h3cdn_transport::duplex::Duplex;
+    use h3cdn_transport::tcp::TcpConfig;
+    use h3cdn_transport::tls::{TlsConfig, TlsVersion};
 
     const RTT_MS: u64 = 40;
+    /// Round-trip times and response sizes the handshake savings are
+    /// pinned at.
+    const PINNED_RTTS_MS: [u64; 3] = [20, 40, 100];
+    const PINNED_BODIES: [u64; 2] = [1_000, 10_000];
 
     fn catalog(entries: &[(u64, u64, u64)]) -> Arc<Catalog> {
         let mut cat = Catalog::new();
@@ -320,18 +327,62 @@ mod tests {
     }
 
     fn pair(
+        rtt_ms: u64,
         cat: Arc<Catalog>,
         ticket: Option<Ticket>,
         early: bool,
     ) -> Duplex<H3Client, QuicServer> {
         let id = ConnId::new(NodeId::from_raw(0), NodeId::from_raw(1), 1);
         let quic = QuicConfig {
-            initial_rtt: SimDuration::from_millis(RTT_MS),
+            initial_rtt: SimDuration::from_millis(rtt_ms),
             ..QuicConfig::default()
         };
         let client = H3Client::new(id, quic.clone(), ticket, early);
         let server = QuicServer::new(id, quic, cat, SimDuration::ZERO);
-        Duplex::new(client, server, SimDuration::from_millis(RTT_MS / 2))
+        Duplex::new(client, server, SimDuration::from_millis(rtt_ms / 2))
+    }
+
+    /// Completion time of one `body`-byte response over a fresh H3
+    /// connection or, with `resume`, a 0-RTT one, at zero loss.
+    fn h3_fetch(rtt_ms: u64, body: u64, resume: bool) -> SimTime {
+        let mut pipe = pair(
+            rtt_ms,
+            catalog(&[(1, body, 0)]),
+            resume.then(ticket),
+            resume,
+        );
+        pipe.a.send_request(RequestMeta {
+            id: 1,
+            header_bytes: 300,
+        });
+        pipe.a.connect(SimTime::ZERO);
+        pipe.run(200_000);
+        assert_eq!(pipe.a.quic().used_early_data(), resume);
+        complete_at(&events(&mut pipe.a), 1).expect("complete")
+    }
+
+    /// Completion time of the same fetch over H2 on TLS `version`.
+    fn h2_fetch(rtt_ms: u64, body: u64, version: TlsVersion) -> SimTime {
+        let id = ConnId::new(NodeId::from_raw(0), NodeId::from_raw(1), 1);
+        let tcp = TcpConfig {
+            initial_rtt: SimDuration::from_millis(rtt_ms),
+            ..TcpConfig::default()
+        };
+        let tls = TlsConfig {
+            version,
+            ..TlsConfig::default()
+        };
+        let client = H2Client::new(id, tcp.clone(), tls);
+        let server = TcpServer::new(id, tcp, catalog(&[(1, body, 0)]), SimDuration::ZERO);
+        let mut pipe = Duplex::new(client, server, SimDuration::from_millis(rtt_ms / 2));
+        pipe.a.connect(SimTime::ZERO);
+        pipe.a.send_request(RequestMeta {
+            id: 1,
+            header_bytes: 300,
+        });
+        pipe.run(200_000);
+        let evs: Vec<HttpEvent> = std::iter::from_fn(|| pipe.a.poll_event()).collect();
+        complete_at(&evs, 1).expect("complete")
     }
 
     fn events(c: &mut H3Client) -> Vec<HttpEvent> {
@@ -355,42 +406,47 @@ mod tests {
 
     #[test]
     fn request_response_over_h3_is_one_rtt_faster_than_h2() {
-        // H3 fresh: 1 RTT handshake. First response byte needs
-        // 1 (hs) + 1 (req/resp) = 2 RTT vs H2's 3 RTT.
-        let mut pipe = pair(catalog(&[(1, 10_000, 0)]), None, false);
-        pipe.a.connect(SimTime::ZERO);
-        pipe.a.send_request(RequestMeta {
-            id: 1,
-            header_bytes: 300,
-        });
-        pipe.run(200_000);
-        let evs = events(&mut pipe.a);
-        let done = complete_at(&evs, 1).expect("complete");
-        assert!(done.as_millis_f64() >= 2.0 * RTT_MS as f64);
-        assert!(done.as_millis_f64() < 3.0 * RTT_MS as f64);
+        // At zero loss a one-resource fetch is its handshake RTTs plus one
+        // request/response RTT: QUIC 1 + 1; TCP 1 + TLS 1.3 1 + 1; TCP 1 +
+        // TLS 1.2 2 + 1.
+        for rtt_ms in PINNED_RTTS_MS {
+            let rtt = SimDuration::from_millis(rtt_ms);
+            for body in PINNED_BODIES {
+                let h3 = h3_fetch(rtt_ms, body, false);
+                let case = format!("{rtt_ms} ms RTT, {body} B");
+                assert_eq!(h3, SimTime::ZERO + rtt * 2, "fresh H3, {case}");
+                let h2 = h2_fetch(rtt_ms, body, TlsVersion::Tls13);
+                assert_eq!(h2, h3 + rtt, "H2 over TLS 1.3, {case}");
+                let h2 = h2_fetch(rtt_ms, body, TlsVersion::Tls12);
+                assert_eq!(h2, h3 + rtt * 2, "H2 over TLS 1.2, {case}");
+            }
+        }
     }
 
     #[test]
     fn zero_rtt_request_completes_in_about_one_rtt() {
-        let mut pipe = pair(catalog(&[(1, 5_000, 0)]), Some(ticket()), true);
-        pipe.a.send_request(RequestMeta {
-            id: 1,
-            header_bytes: 300,
-        });
-        pipe.a.connect(SimTime::ZERO);
-        pipe.run(200_000);
-        assert!(pipe.a.quic().used_early_data());
-        let evs = events(&mut pipe.a);
-        let done = complete_at(&evs, 1).expect("complete");
-        assert!(
-            done.as_millis_f64() < 1.5 * RTT_MS as f64,
-            "0-RTT response too slow: {done}"
-        );
+        // An accepted 0-RTT ticket saves the one QUIC handshake RTT.
+        for rtt_ms in PINNED_RTTS_MS {
+            let rtt = SimDuration::from_millis(rtt_ms);
+            for body in PINNED_BODIES {
+                let early = h3_fetch(rtt_ms, body, true);
+                assert_eq!(
+                    early + rtt,
+                    h3_fetch(rtt_ms, body, false),
+                    "{rtt_ms} ms RTT, {body} B"
+                );
+            }
+        }
     }
 
     #[test]
     fn concurrent_responses_complete_near_each_other() {
-        let mut pipe = pair(catalog(&[(1, 100_000, 0), (2, 100_000, 0)]), None, false);
+        let mut pipe = pair(
+            RTT_MS,
+            catalog(&[(1, 100_000, 0), (2, 100_000, 0)]),
+            None,
+            false,
+        );
         pipe.a.connect(SimTime::ZERO);
         pipe.a.send_request(RequestMeta {
             id: 1,
@@ -432,7 +488,7 @@ mod tests {
                 priority: crate::types::priority::HIGH,
             },
         );
-        let mut pipe = pair(cat.into_shared(), None, false);
+        let mut pipe = pair(RTT_MS, cat.into_shared(), None, false);
         pipe.a.connect(SimTime::ZERO);
         pipe.a.send_request(RequestMeta {
             id: 1,
@@ -455,7 +511,7 @@ mod tests {
     #[test]
     fn many_requests_all_complete() {
         let specs: Vec<(u64, u64, u64)> = (1..=25).map(|i| (i, 6_000, 1)).collect();
-        let mut pipe = pair(catalog(&specs), None, false);
+        let mut pipe = pair(RTT_MS, catalog(&specs), None, false);
         pipe.a.connect(SimTime::ZERO);
         for i in 1..=25 {
             pipe.a.send_request(RequestMeta {

@@ -12,8 +12,9 @@
 //!   module that quietly imports from the runner would entangle the
 //!   pure simulation with scheduling policy.
 //! * **`hot-path-panic`** — transitive reachability from the
-//!   simulator's dispatch roots ([`HOT_PATH_ROOTS`]: `Engine::run*`,
-//!   `EventQueue::pop*`, the QUIC datapath) to any panic-capable site
+//!   simulator's dispatch roots ([`HOT_PATH_ROOTS`]:
+//!   `Engine::run_until_checked`, `EventQueue::pop*`, the QUIC datapath)
+//!   to any panic-capable site
 //!   (`unwrap` / `expect` / `panic!`-family / `[idx]` indexing) inside
 //!   the hot-path crates ([`HOT_PATH_CRATES`]). The reachable surface
 //!   is held to a per-category budget recorded under the `"hot-path"`
@@ -67,9 +68,6 @@ pub(crate) const HOT_PATH_CRATES: &[&str] = &["sim-core", "netsim", "transport"]
 /// Dispatch roots for the reachability analysis: `(impl type, fn)`.
 /// Everything the event loop executes is reachable from these.
 pub(crate) const HOT_PATH_ROOTS: &[(&str, &str)] = &[
-    ("Engine", "run"),
-    ("Engine", "run_until"),
-    ("Engine", "run_checked"),
     ("Engine", "run_until_checked"),
     ("EventQueue", "pop"),
     ("EventQueue", "pop_at_or_before"),
@@ -658,7 +656,7 @@ mod tests {
             "crates/netsim/src/engine.rs",
             "netsim",
             "impl Engine {\n\
-                 pub fn run(&mut self) {\n\
+                 pub fn run_until_checked(&mut self) {\n\
                      self.dispatch();\n\
                  }\n\
                  fn dispatch(&mut self) {\n\
@@ -676,7 +674,11 @@ mod tests {
         assert_eq!(reach.sites.len(), 1, "{:#?}", reach.sites);
         let site = &reach.sites[0];
         assert_eq!(site.category, "index");
-        assert!(site.trace.contains("Engine::run"), "{}", site.trace);
+        assert!(
+            site.trace.contains("Engine::run_until_checked"),
+            "{}",
+            site.trace
+        );
         assert!(site.trace.contains("deep_helper"), "{}", site.trace);
 
         let mut out = Vec::new();

@@ -13,12 +13,12 @@ pub struct Engine {
 }
 
 impl Engine {
-    pub fn run(&mut self, deadline: u64) -> u64 {
+    pub fn run_until_checked(&mut self, deadline: u64) -> u64 {
         self.dispatch_one(deadline)
     }
 
     fn dispatch_one(&mut self, at: u64) -> u64 {
-        // HIT hot-path-panic: reachable via Engine::run -> dispatch_one.
+        // HIT hot-path-panic: reachable via Engine::run_until_checked -> dispatch_one.
         let v = self.slots.first().unwrap();
         // h3cdn-lint: allow(hot-path-panic)
         let w = self.slots.last().unwrap();

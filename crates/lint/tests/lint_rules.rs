@@ -341,7 +341,7 @@ fn hot_path_panic_reports_trace_and_respects_pragma() {
         .as_deref()
         .expect("every hot-path finding carries a trace");
     assert!(
-        trace.contains("Engine::run") && trace.contains("dispatch_one"),
+        trace.contains("Engine::run_until_checked") && trace.contains("dispatch_one"),
         "trace must show the dispatch chain; got {trace:?}"
     );
     // The pragma-covered site is out of both the findings and the budget.

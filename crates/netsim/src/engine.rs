@@ -1,17 +1,17 @@
 //! The deterministic event loop that drives [`Node`]s over a [`Network`].
 
 use h3cdn_sim_core::units::ByteCount;
-use h3cdn_sim_core::{EventQueue, QueueStats, SimTime};
+use h3cdn_sim_core::{EventQueue, SimTime};
 
 use crate::network::Network;
 use crate::node::{Node, NodeCtx, NodeId, Outgoing};
 
 /// Hard ceiling on dispatched events; hitting it means a node is
-/// rescheduling itself unproductively, which is a bug worth a loud panic
-/// rather than a silent hang.
+/// rescheduling itself unproductively, which is a bug worth a
+/// [`StallReport`] rather than a silent hang.
 const DEFAULT_EVENT_BUDGET: u64 = 500_000_000;
 
-/// Why an [`Engine::run_checked`] call could not finish cleanly.
+/// Why an [`Engine::run_until_checked`] call could not finish cleanly.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum StallReason {
     /// The event budget was exhausted: some node is rescheduling itself
@@ -40,9 +40,9 @@ pub(crate) struct NodeStall {
     pub last_armed: Option<SimTime>,
 }
 
-/// A structured diagnosis returned by [`Engine::run_checked`] instead of
-/// a panic or a silent hang: which nodes are stuck, on what, and what
-/// their last-armed timers were.
+/// A structured diagnosis returned by [`Engine::run_until_checked`]
+/// instead of a panic or a silent hang: which nodes are stuck, on what,
+/// and what their last-armed timers were.
 #[derive(Debug, Clone, PartialEq)]
 pub struct StallReport {
     /// Virtual time at which the run gave up.
@@ -214,64 +214,21 @@ impl<N: Node> Engine<N> {
         }
     }
 
-    /// Runs until no events remain, returning the final virtual time.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the event budget is exhausted (runaway timer loop).
-    /// Prefer [`Engine::run_checked`] for drivers that want a structured
-    /// diagnosis instead.
-    pub fn run(&mut self) -> SimTime {
-        self.run_until(SimTime::MAX)
-    }
-
     /// Runs until the queue drains or the next event is later than
-    /// `deadline`; returns the virtual time reached.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the event budget is exhausted (runaway timer loop).
-    pub fn run_until(&mut self, deadline: SimTime) -> SimTime {
-        let result = self.run_inner(deadline, false);
-        assert!(
-            result.is_ok(),
-            "{}",
-            result
-                .as_ref()
-                .err()
-                .map_or_else(String::new, ToString::to_string)
-        );
-        result.unwrap_or(deadline)
-    }
-
-    /// Like [`Engine::run`], but returns a structured [`StallReport`]
-    /// instead of panicking or hanging when the simulation cannot finish:
-    /// either the event budget tripped (runaway timer loop), or the event
-    /// queue drained while nodes still report open work through
-    /// [`Node::stall_detail`] (an all-stalled deadlock). The report names
-    /// each stuck node, its open work, and its last-armed timer.
+    /// `deadline` (pass [`SimTime::MAX`] to run to quiescence); returns
+    /// the virtual time reached. Reaching `deadline` with events still
+    /// queued is a normal stop, not a stall.
     ///
     /// # Errors
     ///
-    /// Returns the [`StallReport`] described above; the engine state
-    /// remains inspectable afterwards.
-    pub fn run_checked(&mut self) -> Result<SimTime, StallReport> {
-        self.run_inner(SimTime::MAX, true)
-    }
-
-    /// Like [`Engine::run_until`], but with [`Engine::run_checked`]'s
-    /// stall diagnosis. Reaching `deadline` with events still queued is a
-    /// normal stop, not a stall.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`StallReport`] on budget exhaustion or an all-stalled
-    /// queue drain.
+    /// Returns a structured [`StallReport`] instead of panicking or
+    /// hanging when the simulation cannot finish: either the event budget
+    /// tripped (runaway timer loop), or the event queue drained while
+    /// nodes still report open work through [`Node::stall_detail`] (an
+    /// all-stalled deadlock). The report names each stuck node, its open
+    /// work, and its last-armed timer; the engine state remains
+    /// inspectable afterwards.
     pub fn run_until_checked(&mut self, deadline: SimTime) -> Result<SimTime, StallReport> {
-        self.run_inner(deadline, true)
-    }
-
-    fn run_inner(&mut self, deadline: SimTime, check_stalls: bool) -> Result<SimTime, StallReport> {
         self.arm_all();
         while let Some((at, ev)) = self.queue.pop_at_or_before(deadline) {
             self.now = at;
@@ -314,11 +271,9 @@ impl<N: Node> Engine<N> {
             self.now = deadline;
             return Ok(self.now);
         }
-        if check_stalls {
-            let report = self.stall_report(StallReason::AllStalled);
-            if !report.stalls.is_empty() {
-                return Err(report);
-            }
+        let report = self.stall_report(StallReason::AllStalled);
+        if !report.stalls.is_empty() {
+            return Err(report);
         }
         Ok(self.now)
     }
@@ -346,12 +301,6 @@ impl<N: Node> Engine<N> {
     /// Total events dispatched so far.
     pub fn events_dispatched(&self) -> u64 {
         self.events_dispatched
-    }
-
-    /// Occupancy counters of the pending-event queue, for watchdog
-    /// diagnostics (tracked by the queue, not recomputed here).
-    pub fn queue_stats(&self) -> QueueStats {
-        self.queue.stats()
     }
 
     /// Consumes the engine, returning the network and nodes for
@@ -426,14 +375,7 @@ impl<N: Node> Engine<N> {
         if let Some(pending) = self.pending_wakeup.get_mut(i) {
             *pending = Some(at);
         }
-        let ev = Ev::Wakeup { node: id, gen };
-        if at == self.now {
-            // Immediate re-arms are the common case (a node with work
-            // pending right now); skip the wheel's level selection.
-            self.queue.schedule_now(at, ev);
-        } else {
-            self.queue.schedule(at, ev);
-        }
+        self.queue.schedule(at, Ev::Wakeup { node: id, gen });
     }
 }
 
@@ -481,7 +423,7 @@ mod tests {
     fn packet_arrives_after_path_delay() {
         let mut e = engine_with(2);
         e.inject_packet(NodeId(0), NodeId(1), 42, ByteCount::new(100));
-        let end = e.run();
+        let end = e.run_until_checked(SimTime::MAX).expect("clean finish");
         assert_eq!(end, SimTime::ZERO + SimDuration::from_millis(5));
         assert_eq!(e.node(NodeId(1)).received, vec![(end, 42)]);
     }
@@ -491,7 +433,7 @@ mod tests {
         let mut e = engine_with(1);
         let t = SimTime::ZERO + SimDuration::from_millis(30);
         e.node_mut(NodeId(0)).wakeup_at = Some(t);
-        e.run();
+        e.run_until_checked(SimTime::MAX).expect("clean finish");
         assert_eq!(e.node(NodeId(0)).woke, vec![t]);
     }
 
@@ -504,9 +446,10 @@ mod tests {
         // timer during handling (handle_packet leaves wakeup_at as-is here,
         // so instead we cancel through with_node).
         e.inject_packet(NodeId(0), NodeId(1), 1, ByteCount::new(100));
-        e.run_until(SimTime::ZERO + SimDuration::from_millis(10));
+        e.run_until_checked(SimTime::ZERO + SimDuration::from_millis(10))
+            .expect("deadline stop");
         e.with_node(NodeId(1), |n, _| n.wakeup_at = None);
-        e.run();
+        e.run_until_checked(SimTime::MAX).expect("clean finish");
         assert!(e.node(NodeId(1)).woke.is_empty(), "cancelled timer fired");
     }
 
@@ -514,11 +457,13 @@ mod tests {
     fn run_until_stops_at_deadline() {
         let mut e = engine_with(1);
         e.node_mut(NodeId(0)).wakeup_at = Some(SimTime::ZERO + SimDuration::from_millis(50));
-        let reached = e.run_until(SimTime::ZERO + SimDuration::from_millis(20));
+        let reached = e
+            .run_until_checked(SimTime::ZERO + SimDuration::from_millis(20))
+            .expect("deadline stop");
         assert_eq!(reached, SimTime::ZERO + SimDuration::from_millis(20));
         assert!(e.node(NodeId(0)).woke.is_empty());
         // Resuming finishes the pending work.
-        e.run();
+        e.run_until_checked(SimTime::MAX).expect("clean finish");
         assert_eq!(e.node(NodeId(0)).woke.len(), 1);
     }
 
@@ -528,17 +473,8 @@ mod tests {
         e.with_node(NodeId(0), |_n, ctx| {
             ctx.send(NodeId(1), 7, ByteCount::new(100));
         });
-        e.run();
+        e.run_until_checked(SimTime::MAX).expect("clean finish");
         assert_eq!(e.node(NodeId(1)).received.len(), 1);
-    }
-
-    #[test]
-    #[should_panic(expected = "event budget")]
-    fn runaway_wakeup_loop_hits_budget() {
-        // The unchecked entry points still panic (with the report text)
-        // so tests and scripts fail loudly.
-        let mut e = spinner_engine();
-        e.run();
     }
 
     /// Always asks to wake immediately — an intentional runaway bug.
@@ -567,7 +503,9 @@ mod tests {
     #[test]
     fn run_checked_reports_budget_exhaustion() {
         let mut e = spinner_engine();
-        let report = e.run_checked().expect_err("runaway loop must be caught");
+        let report = e
+            .run_until_checked(SimTime::MAX)
+            .expect_err("runaway loop must be caught");
         assert_eq!(
             report.reason,
             StallReason::BudgetExhausted { dispatched: 1_001 }
@@ -600,7 +538,9 @@ mod tests {
         let mut net = Network::new(2);
         net.add_node();
         let mut e = Engine::new(net, vec![Stuck]);
-        let report = e.run_checked().expect_err("deadlock must be diagnosed");
+        let report = e
+            .run_until_checked(SimTime::MAX)
+            .expect_err("deadlock must be diagnosed");
         assert_eq!(report.reason, StallReason::AllStalled);
         assert_eq!(report.stalls[0].last_armed, None);
         assert!(report.to_string().contains("conn#1 handshake in flight"));
@@ -610,7 +550,7 @@ mod tests {
     fn run_checked_clean_finish_is_ok() {
         let mut e = engine_with(2);
         e.inject_packet(NodeId(0), NodeId(1), 42, ByteCount::new(100));
-        let end = e.run_checked().expect("quiescent finish");
+        let end = e.run_until_checked(SimTime::MAX).expect("quiescent finish");
         assert_eq!(end, SimTime::ZERO + SimDuration::from_millis(5));
     }
 
@@ -674,7 +614,7 @@ mod tests {
             ctx.send(b, 0, ByteCount::new(100)); // UDP: blackholed
             ctx.send(b, 1, ByteCount::new(100)); // TCP: passes
         });
-        e.run();
+        e.run_until_checked(SimTime::MAX).expect("clean finish");
         assert_eq!(e.node(b).received, vec![1]);
         assert_eq!(e.network().fault_dropped(), 1);
     }
@@ -691,7 +631,7 @@ mod tests {
     fn into_parts_returns_state() {
         let mut e = engine_with(2);
         e.inject_packet(NodeId(0), NodeId(1), 3, ByteCount::new(100));
-        e.run();
+        e.run_until_checked(SimTime::MAX).expect("clean finish");
         let (net, nodes) = e.into_parts();
         assert_eq!(net.delivered(), 1);
         assert_eq!(nodes[1].received.len(), 1);

@@ -41,7 +41,7 @@
 //! net.set_path(b, a, PathSpec::with_delay(SimDuration::from_millis(10)));
 //! let mut engine = Engine::new(net, vec![Echo, Echo]);
 //! engine.inject_packet(a, b, 0, ByteCount::new(100));
-//! let end = engine.run();
+//! let end = engine.run_until_checked(SimTime::MAX).expect("the echo finishes");
 //! // 0→b, 1→a, 2→b, 3→a stops: four 10 ms hops.
 //! assert_eq!(end, SimTime::ZERO + SimDuration::from_millis(40));
 //! ```

@@ -70,7 +70,7 @@ pub trait Node {
     /// or `None` when it is quiescent. The engine consults this when the
     /// event queue drains to distinguish a clean finish from an
     /// all-stalled deadlock (see
-    /// [`Engine::run_checked`](crate::Engine::run_checked)); passive
+    /// [`Engine::run_until_checked`](crate::Engine::run_until_checked)); passive
     /// nodes (servers) should keep the default.
     fn stall_detail(&self) -> Option<String> {
         None

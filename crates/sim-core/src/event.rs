@@ -6,55 +6,15 @@
 //! relative order of simultaneous packet arrivals would depend on queue
 //! internals and reruns would diverge.
 //!
-//! # Implementation: a two-level timer wheel
-//!
-//! The queue is a hierarchical timer wheel, not a binary heap — the heap's
-//! `O(log n)` sift per operation and pointer-chasing comparisons were the
-//! single hottest queue cost in the simulator profile. The wheel gives
-//! amortised `O(1)` schedule/pop for the near future:
-//!
-//! * **Level 0**: 256 slots of 2^16 ns (≈65 µs) each, covering exactly one
-//!   level-1 slot (≈16.8 ms). L0 is *aligned* to the cursor's L1 slot, so
-//!   slot index grows monotonically with time and the level never wraps
-//!   mid-window.
-//! * **Level 1**: 256 slots of 2^24 ns (≈16.8 ms) each, a ≈4.3 s window —
-//!   comfortably past every RTT, RTO and congestion timer in the stack.
-//!   When L0 drains, the next occupied L1 slot is redistributed into L0.
-//! * **Overflow**: a `(time, seq)`-ordered heap for events beyond the L1
-//!   window (visit deadlines, idle timers, `SimTime::MAX` sentinels).
-//!   Whenever the window advances, newly in-window events are promoted.
-//!
-//! Occupied slots are tracked in per-level bitmaps so finding the next
-//! event is a couple of `u64::trailing_zeros`. Within a slot the earliest
-//! `(time, seq)` key is selected by linear scan — slots are ≈65 µs wide,
-//! so occupancy is tiny — which is what preserves the FIFO stability
-//! contract *exactly*: selection is by the same total order the old heap
-//! used, merely bucketed.
-//!
-//! Events scheduled at or before the cursor (the engine schedules wakeups
-//! at `now` routinely) go into the cursor's current slot; selection by
-//! full key keeps them correctly ordered against everything else there,
-//! and no earlier slot can be non-empty.
-//!
-//! The old heap survives as [`LegacyEventQueue`] (behind the default
-//! `legacy-queue` feature) purely as a differential-test oracle — see
-//! `tests/wheel_vs_heap.rs`.
+//! The queue is a plain `BinaryHeap` keyed on `(time, insertion seq)`:
+//! a two-level timer wheel behind the same contract pops faster in
+//! isolation but made no end-to-end difference to a campaign or a swarm
+//! (DESIGN.md, "Performance architecture").
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
 use crate::time::SimTime;
-
-/// log2 of the level-0 slot width in nanoseconds (≈65 µs).
-const L0_SHIFT: u32 = 16;
-/// log2 of the level-1 slot width in nanoseconds (≈16.8 ms).
-const L1_SHIFT: u32 = L0_SHIFT + SLOT_BITS;
-/// log2 of the slot count per level.
-const SLOT_BITS: u32 = 8;
-/// Slots per level.
-const SLOTS: usize = 1 << SLOT_BITS;
-/// Ring-index mask.
-const SLOT_MASK: u64 = (SLOTS - 1) as u64;
 
 /// A priority queue of `(SimTime, E)` pairs popped in chronological order,
 /// FIFO among ties.
@@ -74,23 +34,7 @@ const SLOT_MASK: u64 = (SLOTS - 1) as u64;
 /// ```
 #[derive(Debug, Clone)]
 pub struct EventQueue<E> {
-    /// Level-0 slots, aligned to the cursor's L1 slot.
-    l0: Vec<Vec<Entry<E>>>,
-    /// Level-1 slots, a ring over the L1 window.
-    l1: Vec<Vec<Entry<E>>>,
-    /// Occupancy bitmap per level, one bit per slot.
-    l0_occ: [u64; SLOTS / 64],
-    l1_occ: [u64; SLOTS / 64],
-    /// Events beyond the L1 window, earliest `(time, seq)` on top.
-    overflow: BinaryHeap<Entry<E>>,
-    /// Reusable buffer for draining an L1 slot into L0; its capacity
-    /// circulates through the slots instead of being reallocated.
-    drain_scratch: Vec<Entry<E>>,
-    /// Time floor in nanoseconds: every event ever popped was ≤ `cursor`'s
-    /// slot, and no pending event lives in a slot before it.
-    cursor: u64,
-    /// Pending event count (tracked, not recomputed).
-    len: usize,
+    heap: BinaryHeap<Entry<E>>,
     next_seq: u64,
 }
 
@@ -102,7 +46,7 @@ struct Entry<E> {
 }
 
 impl<E> Entry<E> {
-    /// The total order the whole queue sorts by.
+    /// The total order the queue pops by.
     fn key(&self) -> (SimTime, u64) {
         (self.at, self.seq)
     }
@@ -130,350 +74,16 @@ impl<E> Ord for Entry<E> {
     }
 }
 
-/// Occupancy snapshot reported by [`EventQueue::stats`], so callers (the
-/// engine's stall watchdog) read counters instead of recomputing them.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct QueueStats {
-    /// Total pending events.
-    pub len: usize,
-    /// Pending events in the far-future overflow level.
-    pub overflow_len: usize,
-    /// Allocated capacity of the overflow level.
-    pub overflow_capacity: usize,
-}
-
-fn occ_set(occ: &mut [u64; SLOTS / 64], slot: usize) {
-    if let Some(word) = occ.get_mut(slot >> 6) {
-        *word |= 1 << (slot & 63);
-    }
-}
-
-fn occ_clear(occ: &mut [u64; SLOTS / 64], slot: usize) {
-    if let Some(word) = occ.get_mut(slot >> 6) {
-        *word &= !(1 << (slot & 63));
-    }
-}
-
-/// First occupied slot index ≥ `from`, without wrapping.
-fn occ_next(occ: &[u64; SLOTS / 64], from: usize) -> Option<usize> {
-    let mut word = from >> 6;
-    let mut mask = !0u64 << (from & 63);
-    while let Some(bits) = occ.get(word).map(|w| w & mask) {
-        if bits != 0 {
-            return Some((word << 6) + bits.trailing_zeros() as usize);
-        }
-        word += 1;
-        mask = !0u64;
-    }
-    None
-}
-
-/// Index of the entry with the minimal `(time, seq)` key, or `None` for
-/// an empty bucket. Keys are unique (the seq counter never repeats), so
-/// the minimum is unambiguous.
-fn min_key_index<E>(bucket: &[Entry<E>]) -> Option<usize> {
-    bucket
-        .iter()
-        .enumerate()
-        .min_by_key(|(_, e)| e.key())
-        .map(|(i, _)| i)
-}
-
-/// Distance (1..SLOTS) from ring index `from` to the nearest occupied slot,
-/// scanning forward with wrap-around. The slot at `from` itself is never
-/// occupied at the call sites (its events would have been placed a level
-/// down), so distance 0 is not reported.
-fn occ_next_wrap(occ: &[u64; SLOTS / 64], from: usize) -> Option<usize> {
-    if let Some(slot) = occ_next(occ, from + 1) {
-        return Some(slot - from);
-    }
-    occ_next(occ, 0).map(|slot| SLOTS - from + slot)
-}
-
 impl<E> EventQueue<E> {
     /// Creates an empty queue.
     pub fn new() -> Self {
         Self::with_capacity(0)
     }
 
-    /// Creates an empty queue with `capacity` reserved in the overflow
-    /// level (the only part that reallocates on growth; wheel slots grow
-    /// lazily and keep their capacity across [`EventQueue::clear`]).
+    /// Creates an empty queue with room for `capacity` pending events.
     pub fn with_capacity(capacity: usize) -> Self {
         EventQueue {
-            // One-time construction; slot capacity circulates afterwards.
-            // h3cdn-lint: allow(hot-path-alloc)
-            l0: (0..SLOTS).map(|_| Vec::new()).collect(),
-            // h3cdn-lint: allow(hot-path-alloc)
-            l1: (0..SLOTS).map(|_| Vec::new()).collect(),
-            l0_occ: [0; SLOTS / 64],
-            l1_occ: [0; SLOTS / 64],
-            overflow: BinaryHeap::with_capacity(capacity),
-            // h3cdn-lint: allow(hot-path-alloc)
-            drain_scratch: Vec::new(),
-            cursor: 0,
-            len: 0,
-            next_seq: 0,
-        }
-    }
-
-    /// Schedules `event` to fire at `at`.
-    pub fn schedule(&mut self, at: SimTime, event: E) {
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        self.len += 1;
-        self.place(Entry { at, seq, event });
-    }
-
-    /// Fast path for scheduling at the current instant: `now` must be the
-    /// time of the event being dispatched (i.e. ≤ the cursor's slot), which
-    /// lets the queue skip level selection and push straight into the
-    /// cursor slot. Falls back to [`EventQueue::schedule`] otherwise.
-    pub fn schedule_now(&mut self, now: SimTime, event: E) {
-        let idx = ((self.cursor >> L0_SHIFT) & SLOT_MASK) as usize;
-        match self.l0.get_mut(idx) {
-            Some(bucket) if now.as_nanos() >> L0_SHIFT <= self.cursor >> L0_SHIFT => {
-                let seq = self.next_seq;
-                self.next_seq += 1;
-                self.len += 1;
-                bucket.push(Entry {
-                    at: now,
-                    seq,
-                    event,
-                });
-                occ_set(&mut self.l0_occ, idx);
-            }
-            _ => self.schedule(now, event),
-        }
-    }
-
-    /// Buckets an entry by its distance from the cursor. Entries at or
-    /// before the cursor join the cursor's slot: no earlier slot can hold
-    /// pending events, and within-slot selection is by full `(time, seq)`
-    /// key, so ordering is preserved.
-    fn place(&mut self, entry: Entry<E>) {
-        // The overflow heap is a correct (if slower) home for any entry,
-        // so the masked slot lookups degrade to it instead of panicking.
-        let t = entry.at.as_nanos();
-        let cur = self.cursor;
-        if t <= cur {
-            let idx = ((cur >> L0_SHIFT) & SLOT_MASK) as usize;
-            match self.l0.get_mut(idx) {
-                Some(bucket) => {
-                    bucket.push(entry);
-                    occ_set(&mut self.l0_occ, idx);
-                }
-                None => self.overflow.push(entry),
-            }
-        } else if t >> L1_SHIFT == cur >> L1_SHIFT {
-            let idx = ((t >> L0_SHIFT) & SLOT_MASK) as usize;
-            match self.l0.get_mut(idx) {
-                Some(bucket) => {
-                    bucket.push(entry);
-                    occ_set(&mut self.l0_occ, idx);
-                }
-                None => self.overflow.push(entry),
-            }
-        } else if (t >> L1_SHIFT) - (cur >> L1_SHIFT) < SLOTS as u64 {
-            let idx = ((t >> L1_SHIFT) & SLOT_MASK) as usize;
-            match self.l1.get_mut(idx) {
-                Some(bucket) => {
-                    bucket.push(entry);
-                    occ_set(&mut self.l1_occ, idx);
-                }
-                None => self.overflow.push(entry),
-            }
-        } else {
-            self.overflow.push(entry);
-        }
-    }
-
-    /// Moves overflow events that the advancing window now covers into the
-    /// wheel. Must be called whenever the cursor's L1 slot changes.
-    fn promote_overflow(&mut self) {
-        let c1 = self.cursor >> L1_SHIFT;
-        loop {
-            let entry = match self.overflow.peek_mut() {
-                Some(top) if (top.at.as_nanos() >> L1_SHIFT) - c1 < SLOTS as u64 => {
-                    std::collections::binary_heap::PeekMut::pop(top)
-                }
-                _ => break,
-            };
-            self.place(entry);
-        }
-    }
-
-    /// Advances the cursor until level 0 holds the next pending event and
-    /// returns the first occupied L0 slot (which holds the global
-    /// minimum), or `None` when the queue is empty.
-    fn advance_to_l0(&mut self) -> Option<usize> {
-        loop {
-            let cur_idx = ((self.cursor >> L0_SHIFT) & SLOT_MASK) as usize;
-            if let Some(slot) = occ_next(&self.l0_occ, cur_idx) {
-                return Some(slot);
-            }
-            // L0 exhausted: redistribute the next occupied L1 slot.
-            let c1 = self.cursor >> L1_SHIFT;
-            if let Some(dist) = occ_next_wrap(&self.l1_occ, (c1 & SLOT_MASK) as usize) {
-                // The slot holds an event with `t >> L1_SHIFT == abs`, so
-                // `abs << L1_SHIFT` cannot overflow.
-                let abs = c1 + dist as u64;
-                let idx = (abs & SLOT_MASK) as usize;
-                self.cursor = abs << L1_SHIFT;
-                occ_clear(&mut self.l1_occ, idx);
-                let Some(slot_bucket) = self.l1.get_mut(idx) else {
-                    // Unreachable (idx is masked); the bit is already
-                    // cleared, so rescanning makes progress.
-                    continue;
-                };
-                // Swap the slot out through the scratch buffer so slot
-                // capacities circulate instead of being reallocated.
-                std::mem::swap(slot_bucket, &mut self.drain_scratch);
-                self.promote_overflow();
-                while let Some(entry) = self.drain_scratch.pop() {
-                    // Drain order within a slot is irrelevant: selection
-                    // is by the full (time, seq) key.
-                    self.place(entry);
-                }
-                continue;
-            }
-            // Both levels empty: jump to the overflow minimum, if any.
-            let top = self.overflow.peek()?;
-            self.cursor = top.at.as_nanos();
-            self.promote_overflow();
-        }
-    }
-
-    /// Pops the minimum-key entry out of L0 slot `slot` (as returned by
-    /// [`EventQueue::advance_to_l0`]).
-    fn pop_l0(&mut self, slot: usize) -> Option<(SimTime, E)> {
-        // Advance the cursor to the slot being drained (bit-or: the slot
-        // lives in the cursor's L1 window, so this cannot overflow).
-        self.cursor = self
-            .cursor
-            .max((self.cursor >> L1_SHIFT << L1_SHIFT) | ((slot as u64) << L0_SHIFT));
-        let bucket = self.l0.get_mut(slot)?;
-        let min = min_key_index(bucket)?;
-        // swap_remove is safe for FIFO: order within a bucket is
-        // irrelevant because selection is by the total (time, seq) key.
-        let entry = bucket.swap_remove(min);
-        if bucket.is_empty() {
-            occ_clear(&mut self.l0_occ, slot);
-        }
-        self.len -= 1;
-        Some((entry.at, entry.event))
-    }
-
-    /// Removes and returns the chronologically next event, or `None` when
-    /// the queue is empty.
-    pub fn pop(&mut self) -> Option<(SimTime, E)> {
-        let slot = self.advance_to_l0()?;
-        self.pop_l0(slot)
-    }
-
-    /// Removes and returns the next event if it is due at or before
-    /// `deadline`. A single wheel walk — one occupancy scan, one bucket
-    /// scan — replaces the `peek_time` + `pop` pair on the engine hot
-    /// path.
-    pub fn pop_at_or_before(&mut self, deadline: SimTime) -> Option<(SimTime, E)> {
-        let slot = self.advance_to_l0()?;
-        // Cheap pre-check: if even the slot's start is past the deadline,
-        // every event in or after it is too.
-        let slot_start = (self.cursor >> L1_SHIFT << L1_SHIFT) | ((slot as u64) << L0_SHIFT);
-        if slot_start > deadline.as_nanos() {
-            return None;
-        }
-        let bucket = self.l0.get_mut(slot)?;
-        let min = min_key_index(bucket)?;
-        if bucket.get(min).is_none_or(|e| e.at > deadline) {
-            return None;
-        }
-        let entry = bucket.swap_remove(min);
-        if bucket.is_empty() {
-            occ_clear(&mut self.l0_occ, slot);
-        }
-        self.len -= 1;
-        self.cursor = self.cursor.max(slot_start);
-        Some((entry.at, entry.event))
-    }
-
-    /// Returns the timestamp of the next event without removing it.
-    pub fn peek_time(&self) -> Option<SimTime> {
-        // Layering invariant: L0 events precede all L1 events, which
-        // precede all overflow events, so peek the first non-empty level.
-        let cur_idx = ((self.cursor >> L0_SHIFT) & SLOT_MASK) as usize;
-        if let Some(bucket) = occ_next(&self.l0_occ, cur_idx).and_then(|slot| self.l0.get(slot)) {
-            return bucket.iter().min_by_key(|e| e.key()).map(|e| e.at);
-        }
-        let c1 = self.cursor >> L1_SHIFT;
-        if let Some(dist) = occ_next_wrap(&self.l1_occ, (c1 & SLOT_MASK) as usize) {
-            let idx = ((c1 + dist as u64) & SLOT_MASK) as usize;
-            return self
-                .l1
-                .get(idx)
-                .and_then(|bucket| bucket.iter().min_by_key(|e| e.key()))
-                .map(|e| e.at);
-        }
-        self.overflow.peek().map(|e| e.at)
-    }
-
-    /// Returns the number of pending events.
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// Returns `true` when no events are pending.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    /// Returns occupancy counters for watchdog diagnostics.
-    pub fn stats(&self) -> QueueStats {
-        QueueStats {
-            len: self.len,
-            overflow_len: self.overflow.len(),
-            overflow_capacity: self.overflow.capacity(),
-        }
-    }
-
-    /// Drops all pending events, keeping the sequence counter so stability
-    /// is preserved across the clear, and keeping slot capacity so a
-    /// reused queue does not re-allocate.
-    pub fn clear(&mut self) {
-        for slot in self.l0.iter_mut().chain(self.l1.iter_mut()) {
-            slot.clear();
-        }
-        self.l0_occ = [0; SLOTS / 64];
-        self.l1_occ = [0; SLOTS / 64];
-        self.overflow.clear();
-        self.len = 0;
-    }
-}
-
-impl<E> Default for EventQueue<E> {
-    fn default() -> Self {
-        EventQueue::new()
-    }
-}
-
-/// The pre-wheel `BinaryHeap` implementation, kept as the differential-test
-/// oracle: it is the simplest possible embodiment of the `(time, seq)`
-/// stability contract, against which the wheel's pop order is checked
-/// event-for-event (see `tests/wheel_vs_heap.rs`). Not used on any hot
-/// path; compiled behind the default `legacy-queue` feature.
-#[cfg(feature = "legacy-queue")]
-#[derive(Debug, Clone)]
-pub struct LegacyEventQueue<E> {
-    heap: BinaryHeap<Entry<E>>,
-    next_seq: u64,
-}
-
-#[cfg(feature = "legacy-queue")]
-impl<E> LegacyEventQueue<E> {
-    /// Creates an empty queue.
-    pub fn new() -> Self {
-        LegacyEventQueue {
-            heap: BinaryHeap::new(),
+            heap: BinaryHeap::with_capacity(capacity),
             next_seq: 0,
         }
     }
@@ -485,39 +95,19 @@ impl<E> LegacyEventQueue<E> {
         self.heap.push(Entry { at, seq, event });
     }
 
-    /// Removes and returns the chronologically next event.
+    /// Removes and returns the chronologically next event, or `None` when
+    /// the queue is empty.
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
         self.heap.pop().map(|e| (e.at, e.event))
     }
 
-    /// Oracle mirror of [`EventQueue::pop_at_or_before`].
+    /// Removes and returns the next event if it is due at or before
+    /// `deadline`.
     pub fn pop_at_or_before(&mut self, deadline: SimTime) -> Option<(SimTime, E)> {
         if self.heap.peek()?.at > deadline {
             return None;
         }
         self.pop()
-    }
-
-    /// Oracle mirror of [`EventQueue::schedule_now`] (no fast path).
-    pub fn schedule_now(&mut self, now: SimTime, event: E) {
-        self.schedule(now, event);
-    }
-
-    /// Oracle mirror of [`EventQueue::with_capacity`].
-    pub fn with_capacity(capacity: usize) -> Self {
-        LegacyEventQueue {
-            heap: BinaryHeap::with_capacity(capacity),
-            next_seq: 0,
-        }
-    }
-
-    /// Oracle mirror of [`EventQueue::stats`].
-    pub fn stats(&self) -> QueueStats {
-        QueueStats {
-            len: self.heap.len(),
-            overflow_len: 0,
-            overflow_capacity: self.heap.capacity(),
-        }
     }
 
     /// Returns the timestamp of the next event without removing it.
@@ -536,10 +126,9 @@ impl<E> LegacyEventQueue<E> {
     }
 }
 
-#[cfg(feature = "legacy-queue")]
-impl<E> Default for LegacyEventQueue<E> {
+impl<E> Default for EventQueue<E> {
     fn default() -> Self {
-        LegacyEventQueue::new()
+        EventQueue::new()
     }
 }
 
@@ -593,27 +182,16 @@ mod tests {
     }
 
     #[test]
-    fn clear_empties_but_keeps_stability() {
-        let mut q = EventQueue::new();
-        q.schedule(at(1), 1);
-        q.clear();
-        assert!(q.is_empty());
-        q.schedule(at(1), 2);
-        q.schedule(at(1), 3);
-        assert_eq!(q.pop().map(|(_, e)| e), Some(2));
-        assert_eq!(q.pop().map(|(_, e)| e), Some(3));
-    }
-
-    #[test]
     fn spans_every_level() {
-        // One event per level (L0 / L1 / overflow), scheduled out of order.
+        // Nanosecond, millisecond, multi-second and sentinel times,
+        // scheduled out of order.
         let mut q = EventQueue::new();
         q.schedule(SimTime::MAX, "sentinel");
-        q.schedule(at(10_000), "overflow");
-        q.schedule(at(100), "l1");
-        q.schedule(SimTime::from_nanos(50), "l0");
+        q.schedule(at(10_000), "10 s");
+        q.schedule(at(100), "100 ms");
+        q.schedule(SimTime::from_nanos(50), "50 ns");
         let order: Vec<&str> = std::iter::from_fn(|| q.pop()).map(|(_, e)| e).collect();
-        assert_eq!(order, vec!["l0", "l1", "overflow", "sentinel"]);
+        assert_eq!(order, vec!["50 ns", "100 ms", "10 s", "sentinel"]);
     }
 
     #[test]
@@ -621,7 +199,7 @@ mod tests {
         let mut q = EventQueue::new();
         q.schedule(at(50), "future");
         assert_eq!(q.pop().map(|(_, e)| e), Some("future"));
-        // The cursor now sits at ~50 ms; schedule into the past.
+        // The last pop was at 50 ms; schedule into the past.
         q.schedule(at(10), "past");
         q.schedule(at(60), "later");
         assert_eq!(q.pop(), Some((at(10), "past")));
@@ -630,31 +208,18 @@ mod tests {
 
     #[test]
     fn l1_window_slides_without_missing_events() {
-        // Events spaced one L1 slot apart, then denser ones interleaved
-        // after the window has advanced — exercises promotion + drain.
+        // 600 events about 16.8 ms apart, spanning about 10 s.
         let mut q = EventQueue::new();
         for i in 0..600u64 {
-            q.schedule(SimTime::from_nanos(i << L1_SHIFT), i);
+            q.schedule(SimTime::from_nanos(i << 24), i);
         }
         let mut prev = None;
         while let Some((t, i)) = q.pop() {
-            assert_eq!(t.as_nanos(), i << L1_SHIFT);
+            assert_eq!(t.as_nanos(), i << 24);
             assert!(prev < Some(i), "must pop in order");
             prev = Some(i);
         }
         assert_eq!(prev, Some(599));
-    }
-
-    #[test]
-    fn schedule_now_matches_schedule_ordering() {
-        let mut q = EventQueue::new();
-        q.schedule(at(5), "a");
-        assert_eq!(q.pop().map(|(_, e)| e), Some("a"));
-        q.schedule_now(at(5), "now-1");
-        q.schedule(at(5), "then");
-        q.schedule_now(at(5), "now-2");
-        let order: Vec<&str> = std::iter::from_fn(|| q.pop()).map(|(_, e)| e).collect();
-        assert_eq!(order, vec!["now-1", "then", "now-2"]);
     }
 
     #[test]
@@ -671,8 +236,7 @@ mod tests {
 
     #[test]
     fn pop_at_or_before_handles_same_slot_deadline() {
-        // Deadline inside the same L0 slot as a pending event that is
-        // after it: the slot-start pre-check alone must not admit it.
+        // A deadline 50 ns before the only pending event must not admit it.
         let mut q = EventQueue::new();
         q.schedule(SimTime::from_nanos(100), ());
         assert_eq!(q.pop_at_or_before(SimTime::from_nanos(50)), None);
@@ -680,34 +244,5 @@ mod tests {
             q.pop_at_or_before(SimTime::from_nanos(100)),
             Some((SimTime::from_nanos(100), ()))
         );
-    }
-
-    #[test]
-    fn stats_track_levels() {
-        let mut q = EventQueue::with_capacity(16);
-        assert!(q.stats().overflow_capacity >= 16);
-        q.schedule(SimTime::from_nanos(1), ());
-        q.schedule(SimTime::MAX, ());
-        let stats = q.stats();
-        assert_eq!(stats.len, 2);
-        assert_eq!(stats.overflow_len, 1);
-        assert_eq!(q.len(), 2);
-    }
-
-    #[cfg(feature = "legacy-queue")]
-    #[test]
-    fn legacy_oracle_agrees_on_ties() {
-        let mut wheel = EventQueue::new();
-        let mut oracle = LegacyEventQueue::new();
-        for i in 0..50u64 {
-            let t = at(i % 7);
-            wheel.schedule(t, i);
-            oracle.schedule(t, i);
-        }
-        assert_eq!(wheel.peek_time(), oracle.peek_time());
-        while let Some(expected) = oracle.pop() {
-            assert_eq!(wheel.pop(), Some(expected));
-        }
-        assert!(wheel.is_empty());
     }
 }

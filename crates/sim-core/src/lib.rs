@@ -6,7 +6,8 @@
 //! provides the three things every layer above it needs:
 //!
 //! * [`SimTime`] / [`SimDuration`] — nanosecond-resolution virtual time,
-//! * [`EventQueue`] — a stable priority queue of timestamped events,
+//! * [`EventQueue`] — a stable priority queue of timestamped events (a
+//!   binary heap on `(time, insertion seq)`),
 //! * [`rng`] — seeded, splittable pseudo-random streams plus the
 //!   distributions the workload model draws from.
 //!
@@ -32,8 +33,6 @@ pub mod rng;
 pub mod time;
 pub mod units;
 
-#[cfg(feature = "legacy-queue")]
-pub use event::LegacyEventQueue;
-pub use event::{EventQueue, QueueStats};
+pub use event::EventQueue;
 pub use rng::SimRng;
 pub use time::{SimDuration, SimTime};

@@ -4,12 +4,33 @@
 use h3cdn_sim_core::{EventQueue, SimDuration, SimRng, SimTime};
 use proptest::prelude::*;
 
+/// A time relative to `now`, the instant last popped: `now` itself,
+/// earlier instants, offsets from 1 ns to minutes, and `SimTime::MAX`.
+fn near(now: u64, code: u8) -> SimTime {
+    SimTime::from_nanos(match code % 10 {
+        0 => now,
+        1 => now.saturating_sub(1),
+        2 => now.saturating_sub(70_000_000),
+        3 => now.saturating_add(1),
+        4 => now.saturating_add(70_000),
+        5 => now.saturating_add(20_000_000),
+        6 => now.saturating_add(5_000_000_000),
+        7 => now.saturating_add(300_000_000_000),
+        8 => now.saturating_add(u64::from(code) << 20),
+        _ => u64::MAX,
+    })
+}
+
 proptest! {
     /// The event queue pops in exactly the order of a stable sort by
-    /// (time, insertion index) — checked against a model.
+    /// time — checked against a model, first for a batch of schedules,
+    /// then for random interleavings of `schedule` (op 0), `pop` (op 1)
+    /// and `pop_at_or_before` (op 2), comparing pop order, `peek_time`
+    /// and `len` after every step.
     #[test]
     fn event_queue_matches_stable_sort_model(
         times in prop::collection::vec(0u64..1_000, 1..200),
+        ops in prop::collection::vec((0u8..3, 0u8..255), 0..400),
     ) {
         let mut q = EventQueue::new();
         for (i, &t) in times.iter().enumerate() {
@@ -21,6 +42,33 @@ proptest! {
         let popped: Vec<(u64, usize)> =
             std::iter::from_fn(|| q.pop()).map(|(t, i)| (t.as_nanos(), i)).collect();
         prop_assert_eq!(popped, model);
+
+        // The model is kept sorted by time alone; the sort is stable, so
+        // ties stay in insertion order and its head is the next event.
+        let mut q = EventQueue::new();
+        let mut model: Vec<(SimTime, usize)> = Vec::new();
+        let mut now = 0u64;
+        for (id, &(op, code)) in ops.iter().enumerate() {
+            let at = near(now, code);
+            if op == 0 {
+                q.schedule(at, id);
+                model.push((at, id));
+                model.sort_by_key(|&(t, _)| t);
+            } else {
+                let due = model.first().is_some_and(|&(t, _)| op == 1 || t <= at);
+                let expected = due.then(|| model.remove(0));
+                let got = if op == 1 { q.pop() } else { q.pop_at_or_before(at) };
+                prop_assert_eq!(got, expected);
+                if let Some((t, _)) = got {
+                    now = t.as_nanos();
+                }
+            }
+            prop_assert_eq!(q.peek_time(), model.first().map(|&(t, _)| t));
+            prop_assert_eq!(q.len(), model.len());
+            prop_assert_eq!(q.is_empty(), model.is_empty());
+        }
+        let rest: Vec<(SimTime, usize)> = std::iter::from_fn(|| q.pop()).collect();
+        prop_assert_eq!(rest, model);
     }
 
     /// Uniform draws stay in range and fill the space.

@@ -342,7 +342,9 @@ fn transports_tolerate_reordering_jitter() {
             },
         ];
         let mut engine = Engine::new(net, hosts);
-        engine.run_until(SimTime::ZERO + SimDuration::from_secs(60));
+        engine
+            .run_until_checked(SimTime::ZERO + SimDuration::from_secs(60))
+            .expect("the transfer neither spins nor deadlocks");
         let (_, hosts) = engine.into_parts();
         assert_eq!(
             hosts[1].delivered,
