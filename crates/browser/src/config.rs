@@ -53,13 +53,6 @@ pub struct VisitConfig {
     /// "0 %" is `tc` adding nothing to real Internet paths, which still
     /// lose the occasional packet.
     pub baseline_loss_percent: f64,
-    /// Use a bursty Gilbert–Elliott process at the same mean instead of
-    /// IID loss (the burstiness ablation).
-    pub bursty_loss: bool,
-    /// Model DNS resolution: the first contact with each domain pays a
-    /// resolver round trip (4–25 ms, stable per domain) before the
-    /// connection can open; later requests find the name cached.
-    pub model_dns: bool,
     /// Model Chrome's Alt-Svc discovery with a cold cache: the first
     /// request to each H3-capable domain goes over H2 and only
     /// *subsequent* requests use H3 (learned from the response's
@@ -153,8 +146,6 @@ impl Default for VisitConfig {
             vantage: Vantage::Utah,
             loss_percent: 0.0,
             baseline_loss_percent: 0.04,
-            bursty_loss: false,
-            model_dns: true,
             alt_svc_discovery: false,
             downlink: DataRate::from_mbps(1000),
             uplink: DataRate::from_mbps(1000),

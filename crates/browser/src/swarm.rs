@@ -177,12 +177,7 @@ pub(crate) fn run_fabric(
         net.set_egress_link(node, cfg.uplink, cfg.queue);
         client_nodes.push(node);
     }
-    let total_loss = cfg.loss_percent + cfg.baseline_loss_percent;
-    let loss = if cfg.bursty_loss {
-        LossModel::bursty_percent(total_loss)
-    } else {
-        LossModel::iid_percent(total_loss)
-    };
+    let loss = LossModel::iid_percent(cfg.loss_percent + cfg.baseline_loss_percent);
     // The same trace phase drives every client↔edge path: it is the
     // client's access network that roams/oscillates, not each path
     // independently.
@@ -209,9 +204,7 @@ pub(crate) fn run_fabric(
                 node,
                 rtt,
                 tls12: domain_tls12(domains, d, cfg.jitter_salt),
-                dns_delay: cfg
-                    .model_dns
-                    .then(|| domain_dns_delay(domains, d, cfg.jitter_salt)),
+                dns_delay: domain_dns_delay(domains, d, cfg.jitter_salt),
                 provider: domains.provider(d),
             },
         );

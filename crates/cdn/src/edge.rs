@@ -1,130 +1,12 @@
-//! Edge-server caches.
+//! Edge-server cache misses.
 //!
 //! The paper visits each page twice: the first visit pulls resources from
 //! origin into the edge cache, the second — the measured one — is served
-//! from the warm edge. [`EdgeCache`] reproduces that: a cold lookup costs
-//! an origin fetch (added to server processing time), a warm one is free.
+//! from the warm edge. A warm edge costs nothing extra; a cold one
+//! (`VisitConfig::cold_cache` in the browser) adds [`miss_penalty`] to
+//! every CDN response's server processing.
 
-use crate::overload::EdgeConfigError;
-use h3cdn_sim_core::{SimDuration, SimTime};
-use std::collections::{HashMap, VecDeque};
-
-/// Per-edge cache of resource ids, with optional TTL eviction and an
-/// optional capacity bound (deterministic FIFO eviction by insertion
-/// order — `HashMap` iteration order must never leak into results).
-#[derive(Debug, Clone, Default)]
-// Modeled CDN component exercised by its unit tests; kept exported
-// until the browser fetch path integrates per-edge caching.
-// h3cdn-lint: allow(dead-pub)
-pub struct EdgeCache {
-    cached: HashMap<u64, SimTime>,
-    /// Insertion order of live keys, oldest first; each live key appears
-    /// exactly once (pushed on first insert, removed on eviction/clear).
-    order: VecDeque<u64>,
-    ttl: Option<SimDuration>,
-    capacity: Option<usize>,
-    hits: u64,
-    misses: u64,
-    evictions: u64,
-}
-
-impl EdgeCache {
-    /// Creates a cache whose entries never expire (the paper's popular
-    /// resources stay resident).
-    pub fn new() -> Self {
-        EdgeCache::default()
-    }
-
-    /// Creates a cache whose entries expire `ttl` after insertion.
-    pub fn with_ttl(ttl: SimDuration) -> Self {
-        EdgeCache {
-            ttl: Some(ttl),
-            ..EdgeCache::default()
-        }
-    }
-
-    /// Creates a cache bounded to `capacity` entries, evicting the
-    /// oldest-inserted entry to make room.
-    ///
-    /// # Errors
-    ///
-    /// [`EdgeConfigError::ZeroCacheCapacity`] when `capacity == 0` — a
-    /// cache that can hold nothing would turn every lookup into an
-    /// origin fetch and is a misconfiguration, not a model.
-    pub fn bounded(capacity: usize) -> Result<Self, EdgeConfigError> {
-        if capacity == 0 {
-            return Err(EdgeConfigError::ZeroCacheCapacity);
-        }
-        Ok(EdgeCache {
-            capacity: Some(capacity),
-            ..EdgeCache::default()
-        })
-    }
-
-    /// Looks up `resource` at time `now`, inserting it on miss. Returns
-    /// `true` on a warm hit.
-    pub fn lookup_or_fill(&mut self, resource: u64, now: SimTime) -> bool {
-        let fresh = match self.cached.get(&resource) {
-            Some(&inserted) => match self.ttl {
-                Some(ttl) => now <= inserted + ttl,
-                None => true,
-            },
-            None => false,
-        };
-        if fresh {
-            self.hits += 1;
-        } else {
-            self.misses += 1;
-            self.insert(resource, now);
-        }
-        fresh
-    }
-
-    /// Pre-warms the cache with `resource` (the paper's first visit).
-    pub fn warm(&mut self, resource: u64, now: SimTime) {
-        self.insert(resource, now);
-    }
-
-    /// Inserts (or refreshes) an entry, evicting the oldest-inserted
-    /// entries beyond the capacity bound.
-    fn insert(&mut self, resource: u64, now: SimTime) {
-        if self.cached.insert(resource, now).is_none() {
-            self.order.push_back(resource);
-        }
-        if let Some(capacity) = self.capacity {
-            while self.cached.len() > capacity {
-                // `order` tracks every live key, so this always yields
-                // while the map is over capacity.
-                let Some(oldest) = self.order.pop_front() else {
-                    break;
-                };
-                self.cached.remove(&oldest);
-                self.evictions += 1;
-            }
-        }
-    }
-
-    /// Cache hits observed.
-    pub fn hits(&self) -> u64 {
-        self.hits
-    }
-
-    /// Cache misses observed.
-    pub fn misses(&self) -> u64 {
-        self.misses
-    }
-
-    /// Entries evicted by the capacity bound.
-    pub fn evictions(&self) -> u64 {
-        self.evictions
-    }
-
-    /// Drops all entries (but keeps hit/miss/eviction counters).
-    pub fn clear(&mut self) {
-        self.cached.clear();
-        self.order.clear();
-    }
-}
+use h3cdn_sim_core::SimDuration;
 
 /// Extra processing a cache miss adds: the edge fetches from origin
 /// before it can respond. One origin round trip plus origin service time.
@@ -135,92 +17,6 @@ pub fn miss_penalty(origin_rtt: SimDuration) -> SimDuration {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn at(ms: u64) -> SimTime {
-        SimTime::ZERO + SimDuration::from_millis(ms)
-    }
-
-    #[test]
-    fn first_lookup_misses_second_hits() {
-        let mut cache = EdgeCache::new();
-        assert!(!cache.lookup_or_fill(1, at(0)));
-        assert!(cache.lookup_or_fill(1, at(10)));
-        assert_eq!(cache.hits(), 1);
-        assert_eq!(cache.misses(), 1);
-    }
-
-    #[test]
-    fn warm_prefills() {
-        let mut cache = EdgeCache::new();
-        cache.warm(7, at(0));
-        assert!(cache.lookup_or_fill(7, at(1)));
-        assert_eq!(cache.misses(), 0);
-    }
-
-    #[test]
-    fn ttl_expires_entries() {
-        let mut cache = EdgeCache::with_ttl(SimDuration::from_millis(100));
-        assert!(!cache.lookup_or_fill(1, at(0)));
-        assert!(cache.lookup_or_fill(1, at(50)));
-        assert!(!cache.lookup_or_fill(1, at(200)), "expired entry re-fills");
-        // Re-fill at 200 renews the entry.
-        assert!(cache.lookup_or_fill(1, at(250)));
-    }
-
-    #[test]
-    fn clear_evicts_everything() {
-        let mut cache = EdgeCache::new();
-        cache.warm(1, at(0));
-        cache.clear();
-        assert!(!cache.lookup_or_fill(1, at(1)));
-    }
-
-    #[test]
-    fn bounded_cache_evicts_oldest_insertion_first() {
-        let mut cache = EdgeCache::bounded(2).expect("nonzero capacity");
-        assert!(!cache.lookup_or_fill(1, at(0)));
-        assert!(!cache.lookup_or_fill(2, at(1)));
-        assert!(!cache.lookup_or_fill(3, at(2)), "third entry evicts 1");
-        assert_eq!(cache.evictions(), 1);
-        assert!(!cache.lookup_or_fill(1, at(3)), "1 was evicted, re-fills");
-        assert!(cache.lookup_or_fill(3, at(4)), "3 survived");
-        assert_eq!(cache.evictions(), 2, "re-filling 1 evicted 2");
-    }
-
-    #[test]
-    fn bounded_cache_refresh_does_not_duplicate_order() {
-        let mut cache = EdgeCache::bounded(2).expect("nonzero capacity");
-        cache.warm(1, at(0));
-        cache.warm(1, at(1)); // refresh, not a second order entry
-        cache.warm(2, at(2));
-        cache.warm(3, at(3)); // evicts exactly one entry: 1
-        assert_eq!(cache.evictions(), 1);
-        assert!(cache.lookup_or_fill(2, at(4)));
-        assert!(cache.lookup_or_fill(3, at(4)));
-    }
-
-    #[test]
-    fn zero_capacity_is_a_typed_error() {
-        assert_eq!(
-            EdgeCache::bounded(0).unwrap_err(),
-            EdgeConfigError::ZeroCacheCapacity
-        );
-    }
-
-    #[test]
-    fn clear_resets_order_tracking() {
-        let mut cache = EdgeCache::bounded(2).expect("nonzero capacity");
-        cache.warm(1, at(0));
-        cache.warm(2, at(0));
-        cache.clear();
-        // After clear the bound applies to fresh insertions only; stale
-        // order entries must not cause phantom evictions.
-        cache.warm(3, at(1));
-        cache.warm(4, at(1));
-        assert_eq!(cache.evictions(), 0);
-        assert!(cache.lookup_or_fill(3, at(2)));
-        assert!(cache.lookup_or_fill(4, at(2)));
-    }
 
     #[test]
     fn miss_penalty_scales_with_origin_rtt() {

@@ -3,9 +3,9 @@
 //! Provides the study's seven-provider universe with market shares and
 //! per-provider H3 adoption rates calibrated so the corpus reproduces the
 //! paper's Table II and Fig. 2 marginals; per-vantage edge RTT profiles
-//! (the three CloudLab sites); edge caches; and a re-implementation of
-//! the LocEdge classifier that identifies the hosting provider from
-//! response-header fingerprints.
+//! (the three CloudLab sites); the edge cache-miss penalty; finite edge
+//! admission; and a re-implementation of the LocEdge classifier that
+//! identifies the hosting provider from response-header fingerprints.
 
 pub mod edge;
 pub mod locedge;
@@ -13,7 +13,6 @@ pub mod overload;
 pub mod provider;
 pub mod topology;
 
-pub use edge::EdgeCache;
 pub use locedge::{classify, fingerprint_headers};
 pub use overload::{
     Admission, EdgeConfig, EdgeConfigError, EdgeState, EdgeStats, HandshakeKind, RefusalCause,
@@ -25,7 +24,6 @@ pub use topology::Vantage;
 // topology data across worker threads; keep these types `Send + Sync`.
 const _: () = {
     const fn assert_send_sync<T: Send + Sync>() {}
-    assert_send_sync::<EdgeCache>();
     assert_send_sync::<EdgeState>();
     assert_send_sync::<EdgeStats>();
     assert_send_sync::<Provider>();

@@ -121,8 +121,6 @@ pub enum EdgeConfigError {
         /// The configured connection limit.
         max_connections: u32,
     },
-    /// A bounded [`EdgeCache`](crate::EdgeCache) with zero capacity.
-    ZeroCacheCapacity,
 }
 
 impl std::fmt::Display for EdgeConfigError {
@@ -153,9 +151,6 @@ impl std::fmt::Display for EdgeConfigError {
                 "QUIC shed headroom {headroom} excludes QUIC entirely at \
                  {max_connections} connections"
             ),
-            EdgeConfigError::ZeroCacheCapacity => {
-                write!(f, "edge cache bounded to zero entries")
-            }
         }
     }
 }

@@ -1,6 +1,6 @@
 //! Crash-safe execution on top of the deterministic runner:
-//! checkpoint/resume, per-job panic isolation, quarantine, and
-//! watchdog budgets.
+//! checkpoint/resume, per-job panic isolation, quarantine, and the
+//! sim-event watchdog.
 //!
 //! [`run_keyed_durable`] has the same merge contract as
 //! [`run_keyed`](crate::runner::run_keyed) — jobs are stably sorted by
@@ -23,21 +23,16 @@
 //!    instead of aborting the campaign. A panicking job is never
 //!    re-run: it is a pure function of its inputs, so a second run
 //!    would only panic again.
-//! 3. **Watchdog budgets.** The deterministic watchdog is the
-//!    sim-event budget (`VisitConfig::max_sim_events` → the engine's
+//! 3. **Watchdog.** The one watchdog is the deterministic sim-event
+//!    budget (`VisitConfig::max_sim_events` → the engine's
 //!    `StallReport`), which reaches this layer as a stalled-visit
-//!    panic. The optional *wall-clock* budget is a second, inherently
-//!    nondeterministic net for genuinely wedged host code: a completed
-//!    job that overran the budget is demoted to a stalled
-//!    [`JobFailure`] (off by default; enabling it trades bit-stable
-//!    failure sets for liveness).
+//!    panic and is quarantined as a stalled [`JobFailure`].
 //!
 //! The `AssertUnwindSafe` boundary is sound here because job closures
 //! are pure functions of captured immutable state: a panicking job
 //! abandons all of its partial state, and nothing else observes it.
 
 use std::panic::{self, AssertUnwindSafe};
-use std::time::Instant;
 
 use serde::{Deserialize, Serialize};
 
@@ -61,8 +56,7 @@ pub struct JobFailure {
     /// The panic message (or watchdog diagnosis).
     pub error: String,
     /// Whether the failure is stall-backed (sim-event budget exhausted
-    /// / all-stalled engine / wall-clock budget overrun) rather than a
-    /// plain panic.
+    /// / all-stalled engine) rather than a plain panic.
     pub stalled: bool,
     /// The seed of the run the job failed in.
     pub run_seed: u64,
@@ -87,10 +81,6 @@ pub struct DurableContext {
     /// Seed of the run (conventionally the campaign seed), recorded in
     /// every [`JobFailure`].
     pub run_seed: u64,
-    /// Optional wall-clock budget per job, in milliseconds.
-    /// **Nondeterministic** demotion — see the module docs. `None`
-    /// (default) disables it.
-    pub wall_budget_ms: Option<u64>,
     /// Checkpoint directory; `None` keeps isolation and quarantine but
     /// journals nothing.
     pub checkpoint: Option<RunDir>,
@@ -101,15 +91,8 @@ impl DurableContext {
     pub fn new(run_seed: u64) -> Self {
         DurableContext {
             run_seed,
-            wall_budget_ms: None,
             checkpoint: None,
         }
-    }
-
-    /// Returns a copy with the given wall-clock budget (milliseconds).
-    pub fn with_wall_budget_ms(mut self, budget: Option<u64>) -> Self {
-        self.wall_budget_ms = budget;
-        self
     }
 
     /// Returns a copy journaling to (and resuming from) `run`.
@@ -228,8 +211,7 @@ where
     }
 }
 
-/// One job's isolation shell: a single run under `catch_unwind`, then
-/// the optional wall-clock watchdog.
+/// One job's isolation shell: a single run under `catch_unwind`.
 fn run_isolated<T>(
     ctx: &DurableContext,
     section: &str,
@@ -249,20 +231,8 @@ fn run_isolated<T>(
             repro: meta.repro.clone(),
         })
     };
-    // Watchdog only — never feeds simulated time or results.
-    // h3cdn-lint: allow(wall-clock)
-    let started = Instant::now();
-    let value = panic::catch_unwind(AssertUnwindSafe(job))
-        .map_err(|payload| failure(panic_message(payload.as_ref())))?;
-    if let Some(budget) = ctx.wall_budget_ms {
-        let elapsed_ms = started.elapsed().as_millis();
-        if elapsed_ms > u128::from(budget) {
-            return Err(failure(format!(
-                "{STALLED_PREFIX}wall-clock budget exceeded ({elapsed_ms} ms > {budget} ms)"
-            )));
-        }
-    }
-    Ok(value)
+    panic::catch_unwind(AssertUnwindSafe(job))
+        .map_err(|payload| failure(panic_message(payload.as_ref())))
 }
 
 /// Extracts a human-readable message from a panic payload.
@@ -547,19 +517,5 @@ mod tests {
             "unchanged quarantine.json rewritten"
         );
         let _ = std::fs::remove_dir_all(run.root());
-    }
-
-    #[test]
-    fn wall_budget_demotes_overrunning_jobs() {
-        let ctx = DurableContext::new(1).with_wall_budget_ms(Some(0));
-        let cfg = RunnerConfig::serial();
-        let batch = vec![((0u32, 0u32, 0u32), meta(0), move || {
-            std::thread::sleep(std::time::Duration::from_millis(5));
-            1u32
-        })];
-        let report = run_keyed_durable(&cfg, &ctx, "wall", batch);
-        assert_eq!(report.failures.len(), 1);
-        assert!(report.failures[0].stalled);
-        assert!(report.failures[0].error.contains("wall-clock budget"));
     }
 }

@@ -22,8 +22,6 @@
 //!                size and seed); output is bit-identical to an
 //!                uninterrupted run at any --jobs
 //! --results-dir D  root for results and checkpoints (default results)
-//! --wall-budget-ms MS  per-job wall-clock watchdog (off by default;
-//!                demotion is nondeterministic by nature)
 //! --max-sim-events N   deterministic per-visit sim-event watchdog
 //!                (changes results for budget-exceeding visits, so it
 //!                is part of the resume fingerprint)
@@ -74,6 +72,7 @@ pub mod table1;
 pub mod table2;
 pub mod table3;
 
+use std::num::{NonZeroU64, NonZeroUsize};
 use std::path::Path;
 
 use h3cdn::persist::{workspace_git_hash, Fingerprint, Manifest, RunDir, MANIFEST_VERSION};
@@ -102,8 +101,6 @@ pub struct Options {
     pub run_id: Option<String>,
     /// Root directory for results and checkpoints.
     pub results_dir: String,
-    /// Optional per-job wall-clock watchdog, milliseconds.
-    pub wall_budget_ms: Option<u64>,
     /// Optional deterministic per-visit sim-event watchdog.
     pub max_sim_events: Option<u64>,
     /// The full flag list as parsed (provenance; recorded in the
@@ -124,7 +121,6 @@ impl Default for Options {
             resume: false,
             run_id: None,
             results_dir: "results".to_owned(),
-            wall_budget_ms: None,
             max_sim_events: None,
             argv: Vec::new(),
         }
@@ -153,9 +149,9 @@ impl Options {
     /// The canonical *semantic* argument list — every resolved setting
     /// that can change results, rendered in a fixed order and spelling.
     /// Scheduling and IO flags (`--jobs`, `--progress`, `--resume`,
-    /// `--run-id`, `--results-dir`, `--wall-budget-ms`, `--json`) are
-    /// deliberately excluded: a checkpoint taken at one worker count
-    /// must resume at any other.
+    /// `--run-id`, `--results-dir`, `--json`) are deliberately
+    /// excluded: a checkpoint taken at one worker count must resume at
+    /// any other.
     pub fn fingerprint_args(&self) -> Vec<String> {
         let mut a = vec![
             "--pages".to_owned(),
@@ -176,7 +172,7 @@ impl Options {
 /// The common flags, as `--help` lists them.
 const COMMON_FLAGS: &str = "--pages N   --seed S   --vantage Utah|Wisconsin|Clemson   \
      --json   --jobs N   --progress   --resume   --run-id ID   --results-dir D   \
-     --wall-budget-ms MS   --max-sim-events N";
+     --max-sim-events N";
 
 /// A command line an experiment binary will not run.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -211,7 +207,9 @@ pub(crate) fn try_parse_args(mut args: impl Iterator<Item = String>) -> Result<O
         opts.argv.push(arg.clone());
         match arg.as_str() {
             "--pages" => {
-                opts.pages = value(&mut opts, &mut args, "--pages expects a positive integer")?;
+                let pages: NonZeroUsize =
+                    value(&mut opts, &mut args, "--pages expects a positive integer")?;
+                opts.pages = pages.get();
             }
             "--seed" => opts.seed = value(&mut opts, &mut args, "--seed expects an integer")?,
             "--vantage" => {
@@ -248,19 +246,13 @@ pub(crate) fn try_parse_args(mut args: impl Iterator<Item = String>) -> Result<O
                 opts.results_dir =
                     value(&mut opts, &mut args, "--results-dir expects a directory")?;
             }
-            "--wall-budget-ms" => {
-                opts.wall_budget_ms = Some(value(
-                    &mut opts,
-                    &mut args,
-                    "--wall-budget-ms expects milliseconds",
-                )?);
-            }
             "--max-sim-events" => {
-                opts.max_sim_events = Some(value(
+                let budget: NonZeroU64 = value(
                     &mut opts,
                     &mut args,
                     "--max-sim-events expects a positive integer",
-                )?);
+                )?;
+                opts.max_sim_events = Some(budget.get());
             }
             "--help" | "-h" => return Err(ArgsError::Help),
             other => {
@@ -315,7 +307,7 @@ pub fn campaign(opts: &Options) -> MeasurementCampaign {
 /// fingerprint (so a `fig6` checkpoint can never leak into `fig9`) and
 /// the default run id.
 pub fn campaign_named(opts: &Options, experiment: &str) -> MeasurementCampaign {
-    let mut ctx = DurableContext::new(opts.seed).with_wall_budget_ms(opts.wall_budget_ms);
+    let mut ctx = DurableContext::new(opts.seed);
     if let Some(run) = prepare_run_dir(opts, experiment) {
         ctx = ctx.with_checkpoint(run);
     }
@@ -476,6 +468,11 @@ mod tests {
             (
                 &["--pages", "many"][..],
                 "--pages expects a positive integer",
+            ),
+            (&["--pages", "0"][..], "--pages expects a positive integer"),
+            (
+                &["--max-sim-events", "0"][..],
+                "--max-sim-events expects a positive integer",
             ),
             (
                 &["--jobs", "-1"][..],

@@ -53,4 +53,9 @@ fn binary_specific_flags_are_usage_errors_too() {
     assert_usage_error(&out, "--mode");
     let out = run(env!("CARGO_BIN_EXE_population"), &["--window", "0"]);
     assert_usage_error(&out, "--window");
+    // An empty corpus is refused before either binary generates one.
+    for bin in [env!("CARGO_BIN_EXE_fig2"), env!("CARGO_BIN_EXE_population")] {
+        let out = run(bin, &["--pages", "0"]);
+        assert_usage_error(&out, "--pages");
+    }
 }

@@ -7,7 +7,7 @@
 //! * **`layer-violation`** — the workspace has an explicit layer map
 //!   ([`LAYERS`]): simulation substrate (sim-core / netsim / transport
 //!   / http / web / cdn / har) below the orchestration band (browser /
-//!   core) below the consumer band (experiments / analysis / bench).
+//!   core) below the consumer band (experiments / analysis).
 //!   Any `use`/path edge pointing *upward* is a finding: a netsim
 //!   module that quietly imports from the runner would entangle the
 //!   pure simulation with scheduling policy.
@@ -57,7 +57,6 @@ pub(crate) const LAYERS: &[(&str, u8)] = &[
     ("core", 1),
     ("analysis", 2),
     ("experiments", 2),
-    ("bench", 2),
     ("lint", 2),
 ];
 

@@ -178,7 +178,6 @@ pub(crate) const LIB_TO_DIR: &[(&str, &str)] = &[
     ("h3cdn_har", "har"),
     ("h3cdn_analysis", "analysis"),
     ("h3cdn_experiments", "experiments"),
-    ("h3cdn_bench", "bench"),
     ("h3cdn_lint", "lint"),
 ];
 

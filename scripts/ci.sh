@@ -6,17 +6,15 @@
 #
 #   scripts/ci.sh
 #
-# Steps: release build, full test suite, the resilience-sweep smoke
+# Steps: release build, full test suite (which includes the exact
+# event counts of tests/event_counts.rs), the resilience-sweep smoke
 # gates (fault_matrix, path_dynamics and edge_overload: each sweep's
 # invariants, control fidelity, worker-count invariance of the table),
 # the SIGKILL-and-resume smoke
 # (crash-safe checkpointing must reproduce a clean run byte-for-byte),
 # the population smoke gate (distribution-shape invariants at 10k
 # pages, worker-count invariance, shard-journal kill/resume), the
-# simulator throughput ratchets (BENCH_sim.json, one row per workload;
-# re-record with
-# `sim_throughput [--population] --smoke --update-baseline BENCH_sim.json --label L`
-# after an intentional perf change), the paper-scale output pin
+# paper-scale output pin
 # (`repro_all --pages 325` must reproduce results/repro_full.txt byte
 # for byte), the perfbench smoke (every workload's output checks and
 # seed-1 digests at the tiny scale), clippy with warnings denied, the
@@ -128,20 +126,6 @@ wait "$POP_PID" 2> /dev/null || true
 cmp "$POP_DIR/jobs1.json" "$POP_DIR/resumed.json"
 echo "    resumed summary byte-identical to the clean run"
 rm -rf "$POP_DIR"
-finish
-
-begin "sim_throughput --smoke --check (perf ratchet)"
-# The timing tolerance absorbs shared-runner noise; the event count is
-# deterministic and gated tightly, so a semantic change cannot hide
-# behind a fast machine.
-target/release/sim_throughput --smoke --check BENCH_sim.json
-finish
-
-begin "sim_throughput --population --smoke --check (generator ratchet)"
-# The population generator has its own trajectory row (matched on
-# pages/seed/reps); events = generated requests, so structural drift
-# in the synthetic-web distributions trips the deterministic gate.
-target/release/sim_throughput --population --smoke --check BENCH_sim.json
 finish
 
 begin "repro_all --pages 325 (paper-scale output pin)"
