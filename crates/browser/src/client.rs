@@ -9,6 +9,7 @@ use h3cdn_http::{ClientConn, HttpEvent, HttpVersion, RequestMeta};
 use h3cdn_netsim::{NodeCtx, NodeId};
 use h3cdn_sim_core::units::ByteCount;
 use h3cdn_sim_core::{SimDuration, SimRng, SimTime};
+use h3cdn_transport::duplex::Driveable;
 use h3cdn_transport::quic::QuicConfig;
 use h3cdn_transport::tcp::TcpConfig;
 use h3cdn_transport::tls::{TicketStore, TlsConfig, TlsVersion};
@@ -16,6 +17,7 @@ use h3cdn_transport::{CcAlgorithm, CloseReason, ConnId, WirePacket};
 use h3cdn_web::{DomainId, Hosting, Resource};
 
 use crate::config::ProtocolMode;
+use crate::host::{Deadlines, Tracked};
 use crate::resilience::{BrokenQuicCache, ResilienceStats};
 
 /// Browsers open at most this many parallel H1 connections per host.
@@ -80,12 +82,8 @@ pub(crate) struct PlannedRequest {
 }
 
 #[derive(Debug)]
-struct ConnState {
-    conn: ClientConn,
+struct ConnInfo {
     domain: DomainId,
-    /// The deadline mirrored into [`ClientHost::timeouts`]; kept equal to
-    /// `conn.next_timeout()` whenever control returns to the engine.
-    armed: Option<SimTime>,
     /// Pump round this connection was created in. A connection born
     /// mid-round sits that round out, exactly like the full scan that
     /// snapshotted the id list at round start.
@@ -119,7 +117,7 @@ pub(crate) struct ClientHost {
     plan: Vec<PlannedRequest>,
     domain_info: HashMap<DomainId, DomainInfo>,
     tickets: TicketStore,
-    conns: BTreeMap<ConnId, ConnState>,
+    conns: BTreeMap<ConnId, Tracked<ClientConn, ConnInfo>>,
     pools: BTreeMap<(DomainId, HttpVersion), Vec<ConnId>>,
     entries: Vec<EntryState>,
     index_of_request: HashMap<u64, usize>,
@@ -152,11 +150,10 @@ pub(crate) struct ClientHost {
     /// timer, a request), so the pump polls exactly these instead of
     /// scanning every connection per event.
     dirty: BTreeSet<ConnId>,
-    /// `(deadline, conn)` pairs mirroring each connection's
-    /// `next_timeout()`, so the per-event wakeup re-arm reads one key
-    /// instead of scanning every connection.
-    timeouts: BTreeSet<(SimTime, ConnId)>,
-    /// Current pump round (see [`ConnState::born_round`]).
+    /// Every connection's deadline, kept equal to `next_timeout()`
+    /// whenever control returns to the engine.
+    deadlines: Deadlines,
+    /// Current pump round (see [`ConnInfo::born_round`]).
     pump_round: u64,
     /// Fallback/retry counters for the fault-matrix report.
     resilience: ResilienceStats,
@@ -233,7 +230,7 @@ impl ClientHost {
             retry_attempts: BTreeMap::new(),
             resilience: ResilienceStats::default(),
             dirty: BTreeSet::new(),
-            timeouts: BTreeSet::new(),
+            deadlines: Deadlines::default(),
             pump_round: 0,
         }
     }
@@ -291,22 +288,9 @@ impl ClientHost {
             self.started = true;
             self.dispatch(0, now);
         } else {
-            // Fire due timers straight off the armed index (time-ordered,
-            // so the walk stops at the first future deadline). Each
-            // `on_timeout` only mutates its own connection, so index
-            // order is as good as the id order of the old full scan.
-            while let Some(&(t, id)) = self.timeouts.first() {
-                if t > now {
-                    break;
-                }
-                self.timeouts.remove(&(t, id));
-                let Some(st) = self.conns.get_mut(&id) else {
-                    continue;
-                };
-                st.armed = None;
-                st.conn.on_timeout(now);
+            self.deadlines.fire_due(now, &mut self.conns, |id| {
                 self.dirty.insert(id);
-            }
+            });
         }
         let due: Vec<SimTime> = self.parked.range(..=now).map(|(&t, _)| t).collect();
         for t in due {
@@ -352,7 +336,7 @@ impl ClientHost {
         if !self.started {
             return Some(self.start_at);
         }
-        let conn_deadline = self.timeouts.first().map(|&(t, _)| t);
+        let conn_deadline = self.deadlines.first();
         let parked = self.parked.keys().next().copied();
         let race = self.h3_races.values().min().copied();
         [conn_deadline, parked, race].into_iter().flatten().min()
@@ -396,7 +380,9 @@ impl ClientHost {
                 };
                 self.on_http_event(id, ev, now);
             }
-            self.refresh_armed(id);
+            if let Some(st) = self.conns.get_mut(&id) {
+                self.deadlines.rearm(id, st);
+            }
         }
     }
 
@@ -410,26 +396,7 @@ impl ClientHost {
         };
         range
             .copied()
-            .find(|id| self.conns[id].born_round < self.pump_round)
-    }
-
-    /// Re-mirrors `id`'s `next_timeout()` into the wakeup index after the
-    /// connection absorbed input or produced output.
-    fn refresh_armed(&mut self, id: ConnId) {
-        let Some(st) = self.conns.get_mut(&id) else {
-            return;
-        };
-        let fresh = st.conn.next_timeout();
-        if fresh == st.armed {
-            return;
-        }
-        if let Some(old) = st.armed.take() {
-            self.timeouts.remove(&(old, id));
-        }
-        if let Some(t) = fresh {
-            self.timeouts.insert((t, id));
-        }
-        st.armed = fresh;
+            .find(|id| self.conns[id].info.born_round < self.pump_round)
     }
 
     fn on_http_event(&mut self, conn_id: ConnId, ev: HttpEvent, now: SimTime) {
@@ -464,7 +431,7 @@ impl ClientHost {
                 }
             }
             HttpEvent::TicketIssued { at } => {
-                let domain = self.conns[&conn_id].domain;
+                let domain = self.conns[&conn_id].info.domain;
                 self.tickets.insert(h3cdn_transport::tls::Ticket {
                     domain: domain.0,
                     issued_at: at,
@@ -501,7 +468,7 @@ impl ClientHost {
         let Some((domain, version)) = self
             .conns
             .get(&conn_id)
-            .map(|st| (st.domain, st.conn.version()))
+            .map(|st| (st.info.domain, st.conn.version()))
         else {
             return;
         };
@@ -546,7 +513,7 @@ impl ClientHost {
     /// re-dispatch every request stranded on the failed H3 connection
     /// (they will pick a TCP-based version via [`ClientHost::choose_version`]).
     fn fail_over_from_h3(&mut self, conn_id: ConnId, now: SimTime) {
-        let Some(domain) = self.conns.get(&conn_id).map(|st| st.domain) else {
+        let Some(domain) = self.conns.get(&conn_id).map(|st| st.info.domain) else {
             return;
         };
         self.broken_quic.mark(domain.0);
@@ -740,15 +707,11 @@ impl ClientHost {
             self.h3_races.insert(id, now + delay);
         }
         self.pools.entry((domain, version)).or_default().push(id);
-        self.conns.insert(
-            id,
-            ConnState {
-                conn,
-                domain,
-                armed: None,
-                born_round: self.pump_round,
-            },
-        );
+        let info = ConnInfo {
+            domain,
+            born_round: self.pump_round,
+        };
+        self.conns.insert(id, Tracked::new(conn, info));
         self.dirty.insert(id);
         id
     }

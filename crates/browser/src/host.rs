@@ -1,8 +1,12 @@
-//! The node enum driven by the `h3cdn-netsim` engine.
+//! The node enum driven by the `h3cdn-netsim` engine, and the
+//! per-connection deadline index both of its hosts wake on.
+
+use std::collections::{BTreeMap, BTreeSet};
 
 use h3cdn_netsim::{Node, NodeCtx, TransportClass};
 use h3cdn_sim_core::SimTime;
-use h3cdn_transport::WirePacket;
+use h3cdn_transport::duplex::Driveable;
+use h3cdn_transport::{ConnId, WirePacket};
 
 use crate::client::ClientHost;
 use crate::server::ServerHost;
@@ -54,5 +58,89 @@ impl Node for SimHost {
             SimHost::Client(c) => c.stall_detail(),
             SimHost::Server(_) => None,
         }
+    }
+}
+
+/// One connection a host drives, with the deadline its host's
+/// [`Deadlines`] index holds for it kept alongside, so re-arming after a
+/// pump reads the old deadline without a second map lookup.
+#[derive(Debug)]
+pub(crate) struct Tracked<C, X = ()> {
+    /// The connection.
+    pub conn: C,
+    /// The host's own per-connection bookkeeping.
+    pub info: X,
+    armed: Option<SimTime>,
+}
+
+impl<C, X> Tracked<C, X> {
+    /// A connection with no deadline indexed yet.
+    pub fn new(conn: C, info: X) -> Self {
+        Tracked {
+            conn,
+            info,
+            armed: None,
+        }
+    }
+}
+
+/// `(deadline, conn)` pairs mirroring each tracked connection's
+/// `next_timeout()`, ordered by time, then by connection id. A host's
+/// wakeup reads the first key instead of scanning every connection.
+#[derive(Debug, Default)]
+pub(crate) struct Deadlines(BTreeSet<(SimTime, ConnId)>);
+
+impl Deadlines {
+    /// The earliest indexed deadline.
+    pub fn first(&self) -> Option<SimTime> {
+        self.0.first().map(|&(t, _)| t)
+    }
+
+    /// Connections whose deadline is at or before `now`, by time, then
+    /// by id.
+    pub fn due(&self, now: SimTime) -> impl Iterator<Item = ConnId> + '_ {
+        self.0
+            .iter()
+            .take_while(move |&&(t, _)| t <= now)
+            .map(|&(_, id)| id)
+    }
+
+    /// Fires every connection due at `now`, by time, then by id, and
+    /// reports each to `fired`. Each `on_timeout` only mutates its own
+    /// connection, so this order is as good as a scan in id order.
+    pub fn fire_due<C: Driveable, X>(
+        &mut self,
+        now: SimTime,
+        conns: &mut BTreeMap<ConnId, Tracked<C, X>>,
+        mut fired: impl FnMut(ConnId),
+    ) {
+        while let Some(&(t, id)) = self.0.first() {
+            if t > now {
+                break;
+            }
+            self.0.remove(&(t, id));
+            let Some(st) = conns.get_mut(&id) else {
+                continue;
+            };
+            st.armed = None;
+            st.conn.on_timeout(now);
+            fired(id);
+        }
+    }
+
+    /// Re-mirrors `st`'s `next_timeout()` after the connection absorbed
+    /// input or produced output.
+    pub fn rearm<C: Driveable, X>(&mut self, id: ConnId, st: &mut Tracked<C, X>) {
+        let fresh = st.conn.next_timeout();
+        if fresh == st.armed {
+            return;
+        }
+        if let Some(old) = st.armed.take() {
+            self.0.remove(&(old, id));
+        }
+        if let Some(t) = fresh {
+            self.0.insert((t, id));
+        }
+        st.armed = fresh;
     }
 }

@@ -10,9 +10,12 @@ use h3cdn_http::Catalog;
 use h3cdn_netsim::NodeCtx;
 use h3cdn_sim_core::units::ByteCount;
 use h3cdn_sim_core::{SimDuration, SimTime};
+use h3cdn_transport::duplex::Driveable;
 use h3cdn_transport::quic::{Frame, QuicConfig, QuicPacket};
 use h3cdn_transport::tcp::{TcpConfig, TcpSegment};
 use h3cdn_transport::{ConnId, WirePacket};
+
+use crate::host::{Deadlines, Tracked};
 
 /// Stable key for one connection in the edge's admission ledger: the
 /// client node and its ephemeral port (the server node is the edge).
@@ -55,16 +58,12 @@ pub(crate) struct ServerHost {
     quic_config: QuicConfig,
     /// Surcharge applied to QUIC-served (H3) requests.
     h3_extra_processing: SimDuration,
-    conns: BTreeMap<ConnId, ServerConn>,
+    conns: BTreeMap<ConnId, Tracked<ServerConn>>,
     /// Connections with potentially-pending output (fed a packet or a
     /// fired timer since last drained). The pump polls exactly these.
     dirty: BTreeSet<ConnId>,
-    /// `(deadline, conn)` pairs mirroring each connection's
-    /// `next_timeout()` — the wakeup re-arm reads one key instead of
-    /// scanning every connection.
-    timeouts: BTreeSet<(SimTime, ConnId)>,
-    /// The deadline currently indexed per connection.
-    armed: BTreeMap<ConnId, SimTime>,
+    /// Every connection's deadline, re-armed at the end of each pump.
+    deadlines: Deadlines,
     /// Finite-resource admission controller. `None` models the
     /// infinitely provisioned edge of the client-side experiments —
     /// that path is bit-identical to the pre-edge server.
@@ -88,8 +87,7 @@ impl ServerHost {
             h3_extra_processing,
             conns: BTreeMap::new(),
             dirty: BTreeSet::new(),
-            timeouts: BTreeSet::new(),
-            armed: BTreeMap::new(),
+            deadlines: Deadlines::default(),
             edge: None,
             released: BTreeSet::new(),
         }
@@ -159,11 +157,12 @@ impl ServerHost {
                 Arc::clone(&self.catalog),
                 extra,
             );
-            self.conns.insert(id, conn);
+            self.conns.insert(id, Tracked::new(conn, ()));
         }
         self.conns
             .get_mut(&id)
             .expect("connection just ensured")
+            .conn
             .on_packet(pkt, now);
         self.dirty.insert(id);
         self.pump(ctx);
@@ -171,28 +170,15 @@ impl ServerHost {
 
     /// Fires due timers across connections.
     pub fn on_wakeup(&mut self, ctx: &mut NodeCtx<'_, WirePacket>) {
-        let now = ctx.now();
-        // Walk the time-ordered index instead of scanning every conn;
-        // `on_timeout` only mutates its own connection, so index order is
-        // as good as the id order of the old scan.
-        while let Some(&(t, id)) = self.timeouts.first() {
-            if t > now {
-                break;
-            }
-            self.timeouts.remove(&(t, id));
-            self.armed.remove(&id);
-            let Some(conn) = self.conns.get_mut(&id) else {
-                continue;
-            };
-            conn.on_timeout(now);
+        self.deadlines.fire_due(ctx.now(), &mut self.conns, |id| {
             self.dirty.insert(id);
-        }
+        });
         self.pump(ctx);
     }
 
     /// Earliest timer across connections.
     pub fn next_wakeup(&self) -> Option<SimTime> {
-        self.timeouts.first().map(|&(t, _)| t)
+        self.deadlines.first()
     }
 
     fn pump(&mut self, ctx: &mut NodeCtx<'_, WirePacket>) {
@@ -201,38 +187,24 @@ impl ServerHost {
         // `poll_transmit` regardless of which event woke the node, so
         // every conn at-or-past its deadline must be polled too, not
         // just the ones fed input by this event.
-        for &(t, id) in &self.timeouts {
-            if t > now {
-                break;
-            }
-            self.dirty.insert(id);
-        }
+        self.dirty.extend(self.deadlines.due(now));
         while let Some(id) = self.dirty.pop_first() {
-            let Some(conn) = self.conns.get_mut(&id) else {
+            let Some(st) = self.conns.get_mut(&id) else {
                 continue;
             };
-            while let Some(pkt) = conn.poll_transmit(now) {
+            while let Some(pkt) = st.conn.poll_transmit(now) {
                 let size = ByteCount::new(pkt.wire_bytes());
                 ctx.send(id.client, pkt, size);
             }
             if let Some(edge) = self.edge.as_mut() {
-                if conn.is_closed() && self.released.insert(id) {
+                if st.conn.is_closed() && self.released.insert(id) {
                     // Return the slot/memory to the admission budgets
                     // once per connection; later refusals recover
                     // immediately.
                     edge.release(admission_key(id));
                 }
             }
-            let fresh = conn.next_timeout();
-            if fresh != self.armed.get(&id).copied() {
-                if let Some(old) = self.armed.remove(&id) {
-                    self.timeouts.remove(&(old, id));
-                }
-                if let Some(t) = fresh {
-                    self.timeouts.insert((t, id));
-                    self.armed.insert(id, t);
-                }
-            }
+            self.deadlines.rearm(id, st);
         }
     }
 }

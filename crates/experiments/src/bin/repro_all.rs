@@ -1,37 +1,9 @@
 //! Regenerates every table and figure in one run, printing each artifact
 //! in paper order. `--pages` scales the corpus (default 325).
 
-use h3cdn_experiments as ex;
-
 fn main() {
     let opts = h3cdn_experiments::parse_args(std::env::args().skip(1));
     let campaign = h3cdn_experiments::campaign_named(&opts, "repro_all");
-    let v = opts.vantage;
-    let warmup = (campaign.corpus().pages.len() / 30).max(1);
-
-    println!(
-        "=== corpus: {} pages, {} requests, seed {} ===\n",
-        campaign.corpus().pages.len(),
-        campaign.corpus().total_requests(),
-        campaign.corpus().spec.seed
-    );
-
-    println!("{}", ex::table1::run());
-    println!("{}", ex::table2::run(&campaign, v));
-    println!("{}", ex::fig2::run(&campaign, v));
-    println!("{}", ex::fig3::run(&campaign));
-    println!("{}", ex::fig4::run(&campaign));
-    println!("{}", ex::fig5::run(&campaign));
-
-    let comparisons = campaign.compare_all();
-    println!("{}", ex::fig6::run(&comparisons));
-    println!("{}", ex::fig7::run(&comparisons));
-
-    println!("{}", ex::fig8::run(&campaign, v, warmup));
-    println!("{}", ex::table3::run(&campaign, v, warmup));
-    println!(
-        "{}",
-        ex::fig9::run_with_repeats(&campaign, v, &[0.0, 0.5, 1.0], 6)
-    );
+    print!("{}", h3cdn_experiments::repro_all(&campaign, opts.vantage));
     h3cdn_experiments::report_quarantine(&campaign);
 }

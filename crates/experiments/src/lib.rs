@@ -65,7 +65,6 @@ pub mod fig8;
 pub mod fig9;
 pub mod path_dynamics;
 pub mod population;
-pub mod report;
 pub mod sensitivity;
 pub mod sweep;
 pub mod table1;
@@ -358,6 +357,39 @@ pub fn prepare_run_dir(opts: &Options, experiment: &str) -> Option<RunDir> {
             None
         }
     }
+}
+
+/// Every table and figure of the paper in paper order, as the
+/// `repro_all` binary prints them: the corpus header, Tables I–II,
+/// Figs. 2–7, Fig. 8 and Table III after a warm-up of one page in 30,
+/// and the Fig. 9 loss sweep pooled over 6 jitter repeats. Artifacts
+/// are measured in that order; single-vantage ones use `vantage`.
+pub fn repro_all(campaign: &MeasurementCampaign, vantage: Vantage) -> String {
+    let corpus = campaign.corpus();
+    let warmup = (corpus.pages.len() / 30).max(1);
+    let mut out = format!(
+        "=== corpus: {} pages, {} requests, seed {} ===\n\n",
+        corpus.pages.len(),
+        corpus.total_requests(),
+        corpus.spec.seed
+    );
+    let mut push = |artifact: String| {
+        out.push_str(&artifact);
+        out.push('\n');
+    };
+    push(table1::run().to_string());
+    push(table2::run(campaign, vantage).to_string());
+    push(fig2::run(campaign, vantage).to_string());
+    push(fig3::run(campaign).to_string());
+    push(fig4::run(campaign).to_string());
+    push(fig5::run(campaign).to_string());
+    let comparisons = campaign.compare_all();
+    push(fig6::run(&comparisons).to_string());
+    push(fig7::run(&comparisons).to_string());
+    push(fig8::run(campaign, vantage, warmup).to_string());
+    push(table3::run(campaign, vantage, warmup).to_string());
+    push(fig9::run_with_repeats(campaign, vantage, &[0.0, 0.5, 1.0], 6).to_string());
+    out
 }
 
 /// Prints the quarantine summary for a finished campaign (stderr) so

@@ -1,6 +1,7 @@
 //! Protocol-erased client connection.
 
 use h3cdn_sim_core::SimTime;
+use h3cdn_transport::duplex::Driveable;
 use h3cdn_transport::{ConnId, WirePacket};
 
 use crate::h1::H1Client;
@@ -8,8 +9,8 @@ use crate::h2::H2Client;
 use crate::h3::H3Client;
 use crate::types::{HttpEvent, HttpVersion, RequestMeta};
 
-/// A client connection of any HTTP version, presenting one driving
-/// surface to the pool and browser layers.
+/// A client connection of any HTTP version, driven through
+/// [`Driveable`] by the pool and browser layers.
 #[derive(Debug)]
 pub enum ClientConn {
     /// HTTP/1.1 over TLS/TCP.
@@ -112,8 +113,20 @@ impl ClientConn {
         }
     }
 
-    /// Feeds one received packet.
-    pub fn on_packet(&mut self, pkt: WirePacket, now: SimTime) {
+    /// Pops the next HTTP event.
+    pub fn poll_event(&mut self) -> Option<HttpEvent> {
+        match self {
+            ClientConn::H1(c) => c.poll_event(),
+            ClientConn::H2(c) => c.poll_event(),
+            ClientConn::H3(c) => c.poll_event(),
+        }
+    }
+}
+
+impl Driveable for ClientConn {
+    type Wire = WirePacket;
+
+    fn on_packet(&mut self, pkt: WirePacket, now: SimTime) {
         match self {
             ClientConn::H1(c) => c.on_packet(pkt, now),
             ClientConn::H2(c) => c.on_packet(pkt, now),
@@ -121,26 +134,7 @@ impl ClientConn {
         }
     }
 
-    /// Fires expired timers.
-    pub fn on_timeout(&mut self, now: SimTime) {
-        match self {
-            ClientConn::H1(c) => c.on_timeout(now),
-            ClientConn::H2(c) => c.on_timeout(now),
-            ClientConn::H3(c) => c.on_timeout(now),
-        }
-    }
-
-    /// Next timer deadline.
-    pub fn next_timeout(&self) -> Option<SimTime> {
-        match self {
-            ClientConn::H1(c) => c.next_timeout(),
-            ClientConn::H2(c) => c.next_timeout(),
-            ClientConn::H3(c) => c.next_timeout(),
-        }
-    }
-
-    /// Produces the next packet to send.
-    pub fn poll_transmit(&mut self, now: SimTime) -> Option<WirePacket> {
+    fn poll_transmit(&mut self, now: SimTime) -> Option<WirePacket> {
         match self {
             ClientConn::H1(c) => c.poll_transmit(now),
             ClientConn::H2(c) => c.poll_transmit(now),
@@ -148,12 +142,27 @@ impl ClientConn {
         }
     }
 
-    /// Pops the next HTTP event.
-    pub fn poll_event(&mut self) -> Option<HttpEvent> {
+    fn next_timeout(&self) -> Option<SimTime> {
         match self {
-            ClientConn::H1(c) => c.poll_event(),
-            ClientConn::H2(c) => c.poll_event(),
-            ClientConn::H3(c) => c.poll_event(),
+            ClientConn::H1(c) => c.next_timeout(),
+            ClientConn::H2(c) => c.next_timeout(),
+            ClientConn::H3(c) => c.next_timeout(),
+        }
+    }
+
+    fn on_timeout(&mut self, now: SimTime) {
+        match self {
+            ClientConn::H1(c) => c.on_timeout(now),
+            ClientConn::H2(c) => c.on_timeout(now),
+            ClientConn::H3(c) => c.on_timeout(now),
+        }
+    }
+
+    fn close_deadline(&self) -> Option<SimTime> {
+        match self {
+            ClientConn::H1(c) => c.close_deadline(),
+            ClientConn::H2(c) => c.close_deadline(),
+            ClientConn::H3(c) => c.close_deadline(),
         }
     }
 }

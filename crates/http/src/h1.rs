@@ -8,6 +8,7 @@
 use std::collections::VecDeque;
 
 use h3cdn_sim_core::SimTime;
+use h3cdn_transport::duplex::Driveable;
 use h3cdn_transport::tcp::TcpConfig;
 use h3cdn_transport::tls::{SecureTcp, TlsConfig, TlsEvent};
 use h3cdn_transport::{ConnId, WirePacket};
@@ -73,32 +74,6 @@ impl H1Client {
         &self.conn
     }
 
-    /// Feeds one received packet.
-    pub fn on_packet(&mut self, pkt: WirePacket, now: SimTime) {
-        match pkt {
-            WirePacket::Tcp(seg) => self.conn.on_segment(seg, now),
-            WirePacket::Quic(_) => debug_assert!(false, "QUIC packet on an H1 connection"),
-        }
-        self.translate();
-    }
-
-    /// Fires expired timers.
-    pub fn on_timeout(&mut self, now: SimTime) {
-        self.conn.on_timeout(now);
-        self.translate();
-    }
-
-    /// Next timer deadline.
-    pub fn next_timeout(&self) -> Option<SimTime> {
-        self.conn.next_timeout()
-    }
-
-    /// Produces the next packet to send.
-    pub fn poll_transmit(&mut self, now: SimTime) -> Option<WirePacket> {
-        self.translate();
-        self.conn.poll_transmit(now).map(WirePacket::Tcp)
-    }
-
     /// Pops the next HTTP event.
     pub fn poll_event(&mut self) -> Option<HttpEvent> {
         self.translate();
@@ -154,26 +129,32 @@ impl H1Client {
     }
 }
 
-impl h3cdn_transport::duplex::Driveable for H1Client {
+impl Driveable for H1Client {
     type Wire = WirePacket;
 
-    fn on_wire(&mut self, wire: WirePacket, now: SimTime) {
-        self.on_packet(wire, now);
+    fn on_packet(&mut self, pkt: WirePacket, now: SimTime) {
+        match pkt {
+            WirePacket::Tcp(seg) => self.conn.on_packet(seg, now),
+            WirePacket::Quic(_) => debug_assert!(false, "QUIC packet on an H1 connection"),
+        }
+        self.translate();
     }
 
-    fn poll_wire(&mut self, now: SimTime) -> Option<WirePacket> {
-        self.poll_transmit(now)
+    fn poll_transmit(&mut self, now: SimTime) -> Option<WirePacket> {
+        self.translate();
+        self.conn.poll_transmit(now).map(WirePacket::Tcp)
     }
 
-    fn deadline(&self) -> Option<SimTime> {
-        self.next_timeout()
+    fn next_timeout(&self) -> Option<SimTime> {
+        self.conn.next_timeout()
     }
 
-    fn on_deadline(&mut self, now: SimTime) {
-        self.on_timeout(now);
+    fn on_timeout(&mut self, now: SimTime) {
+        self.conn.on_timeout(now);
+        self.translate();
     }
 
-    fn abandon_deadline(&self) -> Option<SimTime> {
+    fn close_deadline(&self) -> Option<SimTime> {
         self.conn.close_deadline()
     }
 }

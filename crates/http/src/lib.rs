@@ -14,6 +14,12 @@
 //! * [`h3::H3Client`] — one QUIC stream per request; streams deliver
 //!   independently.
 //!
+//! Every client and server, and the protocol-erased [`ClientConn`] and
+//! [`ServerConn`] the browser pools hold, is driven through
+//! `h3cdn_transport`'s one endpoint interface,
+//! [`Driveable`](h3cdn_transport::duplex::Driveable): packets and timer
+//! expiries in, packets out, exactly as the transports beneath them.
+//!
 //! Servers are protocol-thin: a [`h2::TcpServer`] answers both H1 and H2
 //! clients (the difference is purely client-side scheduling), and a
 //! [`h3::QuicServer`] answers H3. Both look responses up in a shared

@@ -1,13 +1,14 @@
 //! Protocol-erased server connection.
 
 use h3cdn_sim_core::SimTime;
+use h3cdn_transport::duplex::Driveable;
 use h3cdn_transport::{ConnId, WirePacket};
 
 use crate::h2::TcpServer;
 use crate::h3::QuicServer;
 
-/// A server-side connection of either transport, presenting one driving
-/// surface to the server node.
+/// A server-side connection of either transport, driven through
+/// [`Driveable`] by the server node.
 #[derive(Debug)]
 pub enum ServerConn {
     /// TLS/TCP side (serves both H1 and H2 clients).
@@ -17,38 +18,6 @@ pub enum ServerConn {
 }
 
 impl ServerConn {
-    /// Feeds one received packet.
-    pub fn on_packet(&mut self, pkt: WirePacket, now: SimTime) {
-        match self {
-            ServerConn::Tcp(s) => s.on_packet(pkt, now),
-            ServerConn::Quic(s) => s.on_packet(pkt, now),
-        }
-    }
-
-    /// Fires expired timers.
-    pub fn on_timeout(&mut self, now: SimTime) {
-        match self {
-            ServerConn::Tcp(s) => s.on_timeout(now),
-            ServerConn::Quic(s) => s.on_timeout(now),
-        }
-    }
-
-    /// Next timer deadline.
-    pub fn next_timeout(&self) -> Option<SimTime> {
-        match self {
-            ServerConn::Tcp(s) => s.next_timeout(),
-            ServerConn::Quic(s) => s.next_timeout(),
-        }
-    }
-
-    /// Produces the next packet to send.
-    pub fn poll_transmit(&mut self, now: SimTime) -> Option<WirePacket> {
-        match self {
-            ServerConn::Tcp(s) => s.poll_transmit(now),
-            ServerConn::Quic(s) => s.poll_transmit(now),
-        }
-    }
-
     /// Requests fully answered on this connection.
     pub fn requests_served(&self) -> u64 {
         match self {
@@ -63,6 +32,45 @@ impl ServerConn {
         match self {
             ServerConn::Tcp(s) => s.is_closed(),
             ServerConn::Quic(s) => s.is_closed(),
+        }
+    }
+}
+
+impl Driveable for ServerConn {
+    type Wire = WirePacket;
+
+    fn on_packet(&mut self, pkt: WirePacket, now: SimTime) {
+        match self {
+            ServerConn::Tcp(s) => s.on_packet(pkt, now),
+            ServerConn::Quic(s) => s.on_packet(pkt, now),
+        }
+    }
+
+    fn poll_transmit(&mut self, now: SimTime) -> Option<WirePacket> {
+        match self {
+            ServerConn::Tcp(s) => s.poll_transmit(now),
+            ServerConn::Quic(s) => s.poll_transmit(now),
+        }
+    }
+
+    fn next_timeout(&self) -> Option<SimTime> {
+        match self {
+            ServerConn::Tcp(s) => s.next_timeout(),
+            ServerConn::Quic(s) => s.next_timeout(),
+        }
+    }
+
+    fn on_timeout(&mut self, now: SimTime) {
+        match self {
+            ServerConn::Tcp(s) => s.on_timeout(now),
+            ServerConn::Quic(s) => s.on_timeout(now),
+        }
+    }
+
+    fn close_deadline(&self) -> Option<SimTime> {
+        match self {
+            ServerConn::Tcp(s) => s.close_deadline(),
+            ServerConn::Quic(s) => s.close_deadline(),
         }
     }
 }

@@ -46,13 +46,13 @@ impl Counts {
 pub type Baseline = BTreeMap<String, Counts>;
 
 /// Accessor returning one category's count.
-type CountGetter = fn(&Counts) -> usize;
+pub(crate) type CountGetter = fn(&Counts) -> usize;
 
 /// Per-category sorted `(path, line)` sites.
 type CategorySites = BTreeMap<&'static str, Vec<(String, usize)>>;
 
 /// The categories, in stable order, with accessors.
-const CATEGORIES: &[(&str, CountGetter)] = &[
+pub(crate) const CATEGORIES: &[(&str, CountGetter)] = &[
     ("unwrap", |c| c.unwrap),
     ("expect", |c| c.expect),
     ("panic", |c| c.panic),
@@ -99,22 +99,37 @@ impl SiteMap {
 /// Counts the panic surface of one library-source file into `sites`.
 pub(crate) fn count_file(ctx: &FileContext, sites: &mut SiteMap) {
     for (idx, line) in ctx.lines().iter().enumerate() {
-        if ctx.is_test_line(idx) {
-            continue;
+        if !ctx.is_test_line(idx) {
+            classify_line(line, |category, _| {
+                sites.push(ctx.krate(), category, ctx.rel(), idx + 1);
+            });
         }
-        let push = |sites: &mut SiteMap, cat, n: usize| {
-            for _ in 0..n {
-                sites.push(ctx.krate(), cat, ctx.rel(), idx + 1);
-            }
-        };
-        push(sites, "unwrap", line.matches(".unwrap()").count());
-        push(sites, "expect", line.matches(".expect(").count());
-        let panics = line.matches("panic!").count()
-            + line.matches("unreachable!").count()
-            + line.matches("todo!").count()
-            + line.matches("unimplemented!").count();
-        push(sites, "panic", panics);
-        push(sites, "index", count_indexing(line));
+    }
+}
+
+/// The call and macro needles of the first three categories, as
+/// `(category, needle)`.
+const NEEDLES: &[(&str, &str)] = &[
+    ("unwrap", ".unwrap()"),
+    ("expect", ".expect("),
+    ("panic", "panic!"),
+    ("panic", "unreachable!"),
+    ("panic", "todo!"),
+    ("panic", "unimplemented!"),
+];
+
+/// Reports every panic-capable site on one stripped line to `site` as
+/// `(category, needle)`, needle by needle in [`NEEDLES`] order, then
+/// indexing. The one classifier behind both the per-crate ratchet and
+/// the hot-path reachability budget.
+pub(crate) fn classify_line(line: &str, mut site: impl FnMut(&'static str, &'static str)) {
+    for &(category, needle) in NEEDLES {
+        for _ in line.matches(needle) {
+            site(category, needle);
+        }
+    }
+    for _ in 0..count_indexing(line) {
+        site("index", "[..] indexing");
     }
 }
 

@@ -13,7 +13,8 @@
 //!   pure simulation with scheduling policy.
 //! * **`hot-path-panic`** — transitive reachability from the
 //!   simulator's dispatch roots ([`HOT_PATH_ROOTS`]:
-//!   `Engine::run_until_checked`, `EventQueue::pop*`, the QUIC datapath)
+//!   `Engine::run_until_checked`, `EventQueue::pop*`, and the
+//!   `Driveable` methods of the TCP, TLS and QUIC endpoints)
 //!   to any panic-capable site
 //!   (`unwrap` / `expect` / `panic!`-family / `[idx]` indexing) inside
 //!   the hot-path crates ([`HOT_PATH_CRATES`]). The reachable surface
@@ -37,6 +38,7 @@
 
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
+use crate::baseline::CATEGORIES;
 use crate::symbols::{CalleeRef, FnSym, SymbolTable};
 use crate::{
     Counts, Finding, RULE_BASELINE_STALE, RULE_DEAD_PUB, RULE_HOT_PATH_PANIC, RULE_LAYER_VIOLATION,
@@ -65,14 +67,31 @@ pub(crate) const LAYERS: &[(&str, u8)] = &[
 pub(crate) const HOT_PATH_CRATES: &[&str] = &["sim-core", "netsim", "transport"];
 
 /// Dispatch roots for the reachability analysis: `(impl type, fn)`.
-/// Everything the event loop executes is reachable from these.
+/// The engine loop and its queue, plus the `Driveable` methods of the
+/// three transport endpoints: every packet and timer expiry the event
+/// loop hands a connection enters the transport crate through one of
+/// these. Calls the HTTP layer makes into a transport outside
+/// `Driveable` (`write_stream`, `poll_event`, ...) are covered only
+/// where a root reaches them too.
 pub(crate) const HOT_PATH_ROOTS: &[(&str, &str)] = &[
     ("Engine", "run_until_checked"),
     ("EventQueue", "pop"),
     ("EventQueue", "pop_at_or_before"),
+    ("TcpConnection", "on_packet"),
+    ("TcpConnection", "poll_transmit"),
+    ("TcpConnection", "next_timeout"),
+    ("TcpConnection", "on_timeout"),
+    ("TcpConnection", "close_deadline"),
+    ("SecureTcp", "on_packet"),
+    ("SecureTcp", "poll_transmit"),
+    ("SecureTcp", "next_timeout"),
+    ("SecureTcp", "on_timeout"),
+    ("SecureTcp", "close_deadline"),
     ("QuicConnection", "on_packet"),
-    ("QuicConnection", "on_timeout"),
     ("QuicConnection", "poll_transmit"),
+    ("QuicConnection", "next_timeout"),
+    ("QuicConnection", "on_timeout"),
+    ("QuicConnection", "close_deadline"),
 ];
 
 /// The layer of `krate`, if mapped.
@@ -139,6 +158,10 @@ pub(crate) struct HotPathReachability {
     pub sites: Vec<ReachableSite>,
     /// Number of root functions found in the table.
     pub roots: usize,
+    /// [`HOT_PATH_ROOTS`] entries that name no function in the table,
+    /// as `Type::fn`. A renamed root silently shrinks the gate, so the
+    /// live workspace must keep this empty.
+    pub unresolved_roots: Vec<String>,
     /// Number of functions reachable from the roots.
     pub reachable_fns: usize,
 }
@@ -227,20 +250,21 @@ pub(crate) fn hot_path_reachability(
     let mut parent: BTreeMap<usize, (usize, usize)> = BTreeMap::new(); // fn -> (caller, call line)
     let mut queue: VecDeque<usize> = VecDeque::new();
     let mut seen: BTreeSet<usize> = BTreeSet::new();
+    let is_root =
+        |f: &FnSym, &(t, n): &(&str, &str)| f.name == n && f.impl_type.as_deref() == Some(t);
     let mut roots = 0usize;
     for (i, f) in table.fns.iter().enumerate() {
-        if !in_scope(f) {
-            continue;
-        }
-        let qual_matches = HOT_PATH_ROOTS
-            .iter()
-            .any(|(t, n)| f.name == *n && f.impl_type.as_deref() == Some(*t));
-        if qual_matches {
+        if in_scope(f) && HOT_PATH_ROOTS.iter().any(|r| is_root(f, r)) {
             roots += 1;
             seen.insert(i);
             queue.push_back(i);
         }
     }
+    let unresolved_roots = HOT_PATH_ROOTS
+        .iter()
+        .filter(|r| !table.fns.iter().any(|f| in_scope(f) && is_root(f, r)))
+        .map(|(t, n)| format!("{t}::{n}"))
+        .collect();
     while let Some(i) = queue.pop_front() {
         for call in &table.fns[i].calls {
             for j in index.resolve(&call.callee) {
@@ -300,6 +324,7 @@ pub(crate) fn hot_path_reachability(
     HotPathReachability {
         sites,
         roots,
+        unresolved_roots,
         reachable_fns: seen.len(),
     }
 }
@@ -339,18 +364,9 @@ fn render_trace(
 /// budget from the baseline file, appending findings: one traced
 /// finding per over-budget site, or a stale-baseline finding when the
 /// surface shrank below the recorded budget.
-/// Accessor for one ratchet category's count.
-type CountGetter = fn(&Counts) -> usize;
-
 pub(crate) fn check_hot_path(budget: &Counts, reach: &HotPathReachability, out: &mut Vec<Finding>) {
     let fresh = reach.counts();
-    let categories: &[(&str, CountGetter)] = &[
-        ("unwrap", |c| c.unwrap),
-        ("expect", |c| c.expect),
-        ("panic", |c| c.panic),
-        ("index", |c| c.index),
-    ];
-    for (cat, get) in categories {
+    for (cat, get) in CATEGORIES {
         let (allowed, counted) = (get(budget), get(&fresh));
         if counted > allowed {
             for site in reach

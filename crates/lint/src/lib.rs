@@ -263,7 +263,7 @@ pub struct Report {
 }
 
 /// Size summary of the extracted symbol graph.
-#[derive(Debug, Default, Clone, Copy)]
+#[derive(Debug, Default, Clone)]
 pub struct GraphStats {
     /// Function items extracted from library source.
     pub fns: usize,
@@ -275,6 +275,11 @@ pub struct GraphStats {
     pub hot_path_reachable_fns: usize,
     /// Panic sites reachable from the hot-path dispatch roots.
     pub hot_path_reachable_sites: usize,
+    /// Functions the hot-path dispatch roots resolve to.
+    pub hot_path_roots: usize,
+    /// Hot-path dispatch roots that resolve to no function, as
+    /// `Type::fn`.
+    pub hot_path_unresolved_roots: Vec<String>,
 }
 
 /// Pragma lines per file, for suppressing graph-rule findings whose
@@ -412,14 +417,16 @@ pub fn lint_workspace_with(root: &Path, opts: LintOptions) -> Result<Report, Str
         };
         graph::check_hot_path(&budget, &reach, &mut raw);
 
+        counts.insert(HOT_PATH_BUDGET_KEY.to_owned(), reach.counts());
         graph_stats = GraphStats {
             fns: table.fns.len(),
             use_edges: table.use_edges.len(),
             pub_items: table.pub_items.len() + table.fns.iter().filter(|f| f.is_pub).count(),
             hot_path_reachable_fns: reach.reachable_fns,
             hot_path_reachable_sites: reach.sites.len(),
+            hot_path_roots: reach.roots,
+            hot_path_unresolved_roots: reach.unresolved_roots,
         };
-        counts.insert(HOT_PATH_BUDGET_KEY.to_owned(), reach.counts());
 
         for f in raw {
             if pragmas.allows(&f.path, f.line, f.rule) || allowlisted(&f.path, f.rule) {
@@ -498,7 +505,8 @@ pub fn render_json(report: &Report) -> String {
     out.push_str(&format!(
         "  ],\n  \"files_scanned\": {},\n  \"suppressed\": {},\n  \"graph\": \
          {{\"fns\": {}, \"use_edges\": {}, \"pub_items\": {}, \
-         \"hot_path_reachable_fns\": {}, \"hot_path_reachable_sites\": {}}}\n}}\n",
+         \"hot_path_reachable_fns\": {}, \"hot_path_reachable_sites\": {}, \
+         \"hot_path_roots\": {}, \"hot_path_unresolved_roots\": [{}]}}\n}}\n",
         report.files_scanned,
         report.suppressed,
         report.graph_stats.fns,
@@ -506,6 +514,14 @@ pub fn render_json(report: &Report) -> String {
         report.graph_stats.pub_items,
         report.graph_stats.hot_path_reachable_fns,
         report.graph_stats.hot_path_reachable_sites,
+        report.graph_stats.hot_path_roots,
+        report
+            .graph_stats
+            .hot_path_unresolved_roots
+            .iter()
+            .map(|r| format!("\"{}\"", json_escape(r)))
+            .collect::<Vec<_>>()
+            .join(", "),
     ));
     out
 }

@@ -75,11 +75,11 @@ fn main() -> ExitCode {
     }
     if report.findings.is_empty() {
         if !quiet && !json {
-            let g = report.graph_stats;
+            let g = &report.graph_stats;
             println!(
                 "h3cdn-lint: OK ({} files scanned, {} finding(s) suppressed by \
                  pragma/allowlist; graph: {} fns, {} cross-crate edges, {} pub items, \
-                 {} fns / {} panic sites reachable from hot-path roots)",
+                 {} fns / {} panic sites reachable from {} hot-path roots, {} unresolved)",
                 report.files_scanned,
                 report.suppressed,
                 g.fns,
@@ -87,6 +87,8 @@ fn main() -> ExitCode {
                 g.pub_items,
                 g.hot_path_reachable_fns,
                 g.hot_path_reachable_sites,
+                g.hot_path_roots,
+                g.hot_path_unresolved_roots.len(),
             );
         }
         ExitCode::SUCCESS

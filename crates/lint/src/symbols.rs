@@ -213,7 +213,13 @@ impl SymbolTable {
                 let line = &ctx.lines()[idx];
                 collect_calls(line, idx + 1, &f.impl_type, &mut f.calls);
                 if !ctx.is_test_line(idx) {
-                    collect_panics(line, idx + 1, &mut f.panics);
+                    crate::baseline::classify_line(line, |category, what| {
+                        f.panics.push(PanicSite {
+                            line: idx + 1,
+                            category,
+                            what,
+                        });
+                    });
                 }
             }
         }
@@ -837,50 +843,6 @@ fn ident_before(s: &str, end: usize) -> Option<String> {
     } else {
         Some(ident.to_owned())
     }
-}
-
-/// Collects panic-capable sites on one stripped line, mirroring the
-/// ratchet's four categories.
-fn collect_panics(line: &str, lineno: usize, out: &mut Vec<PanicSite>) {
-    let mut push = |category, what: &'static str, n: usize| {
-        for _ in 0..n {
-            out.push(PanicSite {
-                line: lineno,
-                category,
-                what,
-            });
-        }
-    };
-    push("unwrap", ".unwrap()", line.matches(".unwrap()").count());
-    push("expect", ".expect(", line.matches(".expect(").count());
-    for mac in ["panic!", "unreachable!", "todo!", "unimplemented!"] {
-        let n = line.matches(mac).count();
-        if n > 0 {
-            let what: &'static str = match mac {
-                "panic!" => "panic!",
-                "unreachable!" => "unreachable!",
-                "todo!" => "todo!",
-                _ => "unimplemented!",
-            };
-            push("panic", what, n);
-        }
-    }
-    push("index", "[..] indexing", count_indexing(line));
-}
-
-/// Counts `expr[...]`-style indexing (same heuristic as the ratchet).
-fn count_indexing(line: &str) -> usize {
-    let bytes = line.as_bytes();
-    let mut n = 0;
-    for (i, &b) in bytes.iter().enumerate() {
-        if b == b'[' && i > 0 {
-            let p = bytes[i - 1];
-            if p.is_ascii_alphanumeric() || p == b'_' || p == b')' || p == b']' {
-                n += 1;
-            }
-        }
-    }
-    n
 }
 
 #[cfg(test)]

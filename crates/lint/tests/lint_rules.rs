@@ -282,14 +282,19 @@ fn hot_path_alloc_hit_clean_and_pragma() {
 // seed plumbing, dead API surface.
 // ---------------------------------------------------------------------------
 
-/// Lints the `graph` fixture with only the symbol-graph rules enabled.
-fn graph_report() -> h3cdn_lint::Report {
+/// Lints a fixture with only the symbol-graph rules enabled.
+fn graph_report_of(fixture: &str) -> h3cdn_lint::Report {
     let opts = LintOptions {
         check_rules: false,
         check_ratchet: false,
         check_graph: true,
     };
-    lint_workspace_with(&fixture_root("graph"), opts).expect("graph fixture lints")
+    lint_workspace_with(&fixture_root(fixture), opts).expect("graph fixture lints")
+}
+
+/// Lints the `graph` fixture with only the symbol-graph rules enabled.
+fn graph_report() -> h3cdn_lint::Report {
+    graph_report_of("graph")
 }
 
 fn graph_line(rel: &str, marker: &str) -> usize {
@@ -359,6 +364,34 @@ fn hot_path_panic_reports_trace_and_respects_pragma() {
     // Exactly the one live reachable site is counted.
     assert_eq!(report.graph_stats.hot_path_reachable_sites, 1);
     assert!(report.graph_stats.hot_path_reachable_fns >= 2);
+}
+
+#[test]
+fn tcp_driving_methods_are_hot_path_roots() {
+    // The `tcp_root` fixture's only route to its `expect` starts at a
+    // TCP endpoint's `Driveable::on_packet`: every H2 visit runs it.
+    const TCP: &str = "crates/transport/src/tcp.rs";
+    let report = graph_report_of("tcp_root");
+    let hit = line_of("tcp_root", TCP, ".expect(\"covered segment\")");
+    let finding = report
+        .findings
+        .iter()
+        .find(|f| f.rule == "hot-path-panic" && f.path == TCP && f.line == hit)
+        .unwrap_or_else(|| {
+            panic!(
+                "expected reachable expect at {TCP}:{hit}: {:#?}",
+                report.findings
+            )
+        });
+    let trace = finding
+        .trace
+        .as_deref()
+        .expect("hot-path findings carry a trace");
+    assert!(
+        trace.starts_with("TcpConnection::on_packet") && trace.contains("process_ack"),
+        "trace must start at the TCP driving method; got {trace:?}"
+    );
+    assert_eq!(report.graph_stats.hot_path_reachable_sites, 1);
 }
 
 #[test]

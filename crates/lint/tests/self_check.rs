@@ -32,6 +32,20 @@ fn live_workspace_has_zero_unsuppressed_findings() {
 }
 
 #[test]
+fn every_hot_path_root_resolves() {
+    // A renamed or deleted root would silently shrink the hot-path gate.
+    let stats = lint_workspace(&workspace_root())
+        .expect("workspace lints")
+        .graph_stats;
+    assert!(
+        stats.hot_path_unresolved_roots.is_empty(),
+        "HOT_PATH_ROOTS entries that name no function: {:?}",
+        stats.hot_path_unresolved_roots
+    );
+    assert!(stats.hot_path_roots > 0, "sanity: the roots were found");
+}
+
+#[test]
 fn checked_in_baseline_matches_fresh_count() {
     let root = workspace_root();
     let fresh = lint_workspace(&root).expect("workspace lints").counts;

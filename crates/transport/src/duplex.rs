@@ -8,32 +8,37 @@
 
 use h3cdn_sim_core::{EventQueue, SimDuration, SimTime};
 
-/// Anything that can be driven by packets and timeouts and produces
-/// packets in return — the shape shared by [`crate::tcp::TcpConnection`],
-/// [`crate::tls::SecureTcp`] and [`crate::quic::QuicConnection`].
+/// The one interface that drives a sans-IO endpoint: packets and timer
+/// expiries in, packets out. Every connection in the stack implements
+/// it and nothing else drives one: the transports
+/// ([`crate::tcp::TcpConnection`], [`crate::tls::SecureTcp`],
+/// [`crate::quic::QuicConnection`]), the HTTP endpoints of `h3cdn-http`
+/// (`H1Client`, `H2Client`, `H3Client`, `TcpServer`, `QuicServer`) and
+/// its protocol-erased `ClientConn` and `ServerConn`. [`Duplex`] and the
+/// browser hosts therefore drive TCP+TLS and QUIC by the same calls.
 pub trait Driveable {
     /// The wire item exchanged between the two endpoints.
     type Wire;
 
     /// Feeds one received wire item.
-    fn on_wire(&mut self, wire: Self::Wire, now: SimTime);
+    fn on_packet(&mut self, packet: Self::Wire, now: SimTime);
 
-    /// Produces the next outgoing wire item, or `None` when idle.
-    fn poll_wire(&mut self, now: SimTime) -> Option<Self::Wire>;
+    /// Produces the next outgoing wire item, or `None` when idle. Call
+    /// repeatedly until `None` after any input.
+    fn poll_transmit(&mut self, now: SimTime) -> Option<Self::Wire>;
 
     /// Earliest pending timer deadline.
-    fn deadline(&self) -> Option<SimTime>;
+    fn next_timeout(&self) -> Option<SimTime>;
 
-    /// Fires expired timers.
-    fn on_deadline(&mut self, now: SimTime);
+    /// Fires expired timers. Call when virtual time reaches
+    /// [`Driveable::next_timeout`].
+    fn on_timeout(&mut self, now: SimTime);
 
     /// Earliest *give-up* deadline — a timer that, when fired, only
     /// abandons the connection (handshake or idle timeout) rather than
     /// making forward progress. [`Duplex::run`] quiesces instead of
     /// chasing these; [`Duplex::run_to_close`] fires them too.
-    fn abandon_deadline(&self) -> Option<SimTime> {
-        None
-    }
+    fn close_deadline(&self) -> Option<SimTime>;
 }
 
 /// A deterministic, fixed-latency pipe between endpoints `A` and `B`.
@@ -93,7 +98,7 @@ impl<A: Driveable, B: Driveable<Wire = A::Wire>> Duplex<A, B> {
     fn pump(&mut self) {
         loop {
             let mut progressed = false;
-            while let Some(item) = self.a.poll_wire(self.now) {
+            while let Some(item) = self.a.poll_transmit(self.now) {
                 progressed = true;
                 let idx = self.sent_a;
                 self.sent_a += 1;
@@ -101,7 +106,7 @@ impl<A: Driveable, B: Driveable<Wire = A::Wire>> Duplex<A, B> {
                     self.queue.schedule(self.now + self.latency, (false, item));
                 }
             }
-            while let Some(item) = self.b.poll_wire(self.now) {
+            while let Some(item) = self.b.poll_transmit(self.now) {
                 progressed = true;
                 let idx = self.sent_b;
                 self.sent_b += 1;
@@ -117,7 +122,7 @@ impl<A: Driveable, B: Driveable<Wire = A::Wire>> Duplex<A, B> {
 
     /// Runs until both endpoints quiesce: no queued items, no transmits,
     /// and no timers other than give-up deadlines (handshake/idle
-    /// abandonment — see [`Driveable::abandon_deadline`]). Stopping short
+    /// abandonment — see [`Driveable::close_deadline`]). Stopping short
     /// of those keeps transfer tests exact while connections still carry
     /// their RFC 9000-style idle timers; use [`Duplex::run_to_close`] to
     /// drive the pair all the way through the give-up timers.
@@ -144,15 +149,19 @@ impl<A: Driveable, B: Driveable<Wire = A::Wire>> Duplex<A, B> {
         for _ in 0..max_steps {
             if !chase_abandon
                 && self.queue.peek_time().is_none()
-                && self.a.deadline() == self.a.abandon_deadline()
-                && self.b.deadline() == self.b.abandon_deadline()
+                && self.a.next_timeout() == self.a.close_deadline()
+                && self.b.next_timeout() == self.b.close_deadline()
             {
                 return;
             }
-            let next = [self.queue.peek_time(), self.a.deadline(), self.b.deadline()]
-                .into_iter()
-                .flatten()
-                .min();
+            let next = [
+                self.queue.peek_time(),
+                self.a.next_timeout(),
+                self.b.next_timeout(),
+            ]
+            .into_iter()
+            .flatten()
+            .min();
             let Some(next) = next else {
                 return;
             };
@@ -160,42 +169,18 @@ impl<A: Driveable, B: Driveable<Wire = A::Wire>> Duplex<A, B> {
             if self.queue.peek_time() == Some(next) {
                 let (_, (towards_a, item)) = self.queue.pop().expect("peeked item");
                 if towards_a {
-                    self.a.on_wire(item, self.now);
+                    self.a.on_packet(item, self.now);
                 } else {
-                    self.b.on_wire(item, self.now);
+                    self.b.on_packet(item, self.now);
                 }
-            } else if self.a.deadline() == Some(next) {
-                self.a.on_deadline(self.now);
+            } else if self.a.next_timeout() == Some(next) {
+                self.a.on_timeout(self.now);
             } else {
-                self.b.on_deadline(self.now);
+                self.b.on_timeout(self.now);
             }
             self.pump();
         }
         panic!("duplex did not quiesce within {max_steps} steps");
-    }
-}
-
-impl Driveable for crate::tcp::TcpConnection {
-    type Wire = crate::tcp::TcpSegment;
-
-    fn on_wire(&mut self, wire: Self::Wire, now: SimTime) {
-        self.on_segment(wire, now);
-    }
-
-    fn poll_wire(&mut self, now: SimTime) -> Option<Self::Wire> {
-        self.poll_transmit(now)
-    }
-
-    fn deadline(&self) -> Option<SimTime> {
-        self.next_timeout()
-    }
-
-    fn on_deadline(&mut self, now: SimTime) {
-        self.on_timeout(now);
-    }
-
-    fn abandon_deadline(&self) -> Option<SimTime> {
-        self.close_deadline()
     }
 }
 

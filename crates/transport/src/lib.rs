@@ -15,14 +15,18 @@
 //!   packet-number loss detection and PTO (RFC 9002's algorithm,
 //!   simplified), and connection-level flow control.
 //!
-//! Both stacks share the [`cc`] congestion controllers (NewReno and Cubic)
-//! and the [`rtt`] estimator, so H2-vs-H3 comparisons measure protocol
-//! structure rather than tuning differences — mirroring the paper's
-//! methodology.
+//! Both stacks share the [`cc`] congestion controllers (NewReno, Cubic and
+//! BBR) and the [`rtt`] estimator, so H2-vs-H3 comparisons measure
+//! protocol structure rather than tuning differences — mirroring the
+//! paper's methodology.
 //!
 //! All state machines are *sans-IO*: they consume packets and timeouts,
-//! and emit packets and events, with no clock or socket of their own. The
-//! [`wire::WirePacket`] enum is the single packet type carried by
+//! and emit packets and events, with no clock or socket of their own.
+//! Each is driven through one trait, [`duplex::Driveable`]
+//! (`on_packet`, `poll_transmit`, `next_timeout`, `on_timeout`,
+//! `close_deadline`), the same interface the HTTP layer implements on
+//! top; [`duplex::Duplex`] drives any two of them over a scripted pipe.
+//! The [`wire::WirePacket`] enum is the single packet type carried by
 //! `h3cdn-netsim` nodes.
 
 pub mod cc;

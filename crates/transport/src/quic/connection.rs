@@ -7,6 +7,7 @@ use h3cdn_sim_core::{SimDuration, SimTime};
 
 use crate::cc::{CcAlgorithm, CongestionController};
 use crate::conn_id::{ConnId, MsgTag};
+use crate::duplex::Driveable;
 use crate::quic::streams::{RecvStream, SendStream};
 use crate::quic::{Frame, QuicPacket, CRYPTO_STREAM, MAX_PAYLOAD};
 use crate::rtt::RttEstimator;
@@ -463,58 +464,12 @@ impl QuicConnection {
     pub fn poll_event(&mut self) -> Option<QuicEvent> {
         self.events.pop_front()
     }
+}
 
-    /// Next timer deadline (loss timer, PTO, delayed-ACK timer,
-    /// handshake deadline, or idle deadline).
-    pub fn next_timeout(&self) -> Option<SimTime> {
-        if self.closed.is_some() {
-            return None;
-        }
-        [
-            self.loss_time,
-            self.pto_deadline(),
-            self.ack_timer,
-            self.handshake_deadline(),
-            self.idle_deadline(),
-        ]
-        .into_iter()
-        .flatten()
-        .min()
-    }
+impl Driveable for QuicConnection {
+    type Wire = QuicPacket;
 
-    /// Fires expired timers.
-    pub fn on_timeout(&mut self, now: SimTime) {
-        if self.closed.is_some() {
-            return;
-        }
-        if self.handshake_deadline().is_some_and(|d| d <= now) {
-            self.close(now, CloseReason::HandshakeTimeout);
-            return;
-        }
-        if self.idle_deadline().is_some_and(|d| d <= now) {
-            self.close(now, CloseReason::IdleTimeout);
-            return;
-        }
-        if let Some(t) = self.ack_timer {
-            if t <= now {
-                self.ack_timer = None;
-                self.ack_pending = true;
-            }
-        }
-        if let Some(t) = self.loss_time {
-            if t <= now {
-                self.detect_lost(now);
-            }
-        }
-        if let Some(t) = self.pto_deadline() {
-            if t <= now {
-                self.on_pto(now);
-            }
-        }
-    }
-
-    /// Feeds one received packet.
-    pub fn on_packet(&mut self, pkt: QuicPacket, now: SimTime) {
+    fn on_packet(&mut self, pkt: QuicPacket, now: SimTime) {
         debug_assert_eq!(pkt.conn, self.id, "packet routed to wrong connection");
         debug_assert_ne!(
             pkt.from_client, self.is_client,
@@ -575,9 +530,7 @@ impl QuicConnection {
         }
     }
 
-    /// Produces the next packet to send, or `None` when idle. Call
-    /// repeatedly until `None`.
-    pub fn poll_transmit(&mut self, now: SimTime) -> Option<QuicPacket> {
+    fn poll_transmit(&mut self, now: SimTime) -> Option<QuicPacket> {
         if self.closed.is_some() {
             return None;
         }
@@ -776,10 +729,55 @@ impl QuicConnection {
         Some(pkt)
     }
 
-    /// Earliest give-up deadline (handshake or idle timeout) — the timer
-    /// that closes the connection rather than advancing a transfer. Test
-    /// harnesses use this to quiesce without chasing the idle close.
-    pub fn close_deadline(&self) -> Option<SimTime> {
+    /// Next timer deadline (loss timer, PTO, delayed-ACK timer,
+    /// handshake deadline, or idle deadline).
+    fn next_timeout(&self) -> Option<SimTime> {
+        if self.closed.is_some() {
+            return None;
+        }
+        [
+            self.loss_time,
+            self.pto_deadline(),
+            self.ack_timer,
+            self.handshake_deadline(),
+            self.idle_deadline(),
+        ]
+        .into_iter()
+        .flatten()
+        .min()
+    }
+
+    fn on_timeout(&mut self, now: SimTime) {
+        if self.closed.is_some() {
+            return;
+        }
+        if self.handshake_deadline().is_some_and(|d| d <= now) {
+            self.close(now, CloseReason::HandshakeTimeout);
+            return;
+        }
+        if self.idle_deadline().is_some_and(|d| d <= now) {
+            self.close(now, CloseReason::IdleTimeout);
+            return;
+        }
+        if let Some(t) = self.ack_timer {
+            if t <= now {
+                self.ack_timer = None;
+                self.ack_pending = true;
+            }
+        }
+        if let Some(t) = self.loss_time {
+            if t <= now {
+                self.detect_lost(now);
+            }
+        }
+        if let Some(t) = self.pto_deadline() {
+            if t <= now {
+                self.on_pto(now);
+            }
+        }
+    }
+
+    fn close_deadline(&self) -> Option<SimTime> {
         if self.closed.is_some() {
             return None;
         }
@@ -788,7 +786,9 @@ impl QuicConnection {
             .flatten()
             .min()
     }
+}
 
+impl QuicConnection {
     // ---- internals ----
 
     /// Deadline for an incomplete handshake: client-side from `connect`,
@@ -1177,30 +1177,6 @@ impl QuicConnection {
         let oldest = self.sent.values().next().map(|p| p.sent_at)?;
         let backoff = 1u64 << self.pto_count.min(10);
         Some(oldest + self.rtt.pto(self.config.max_ack_delay) * backoff)
-    }
-}
-
-impl crate::duplex::Driveable for QuicConnection {
-    type Wire = QuicPacket;
-
-    fn on_wire(&mut self, wire: QuicPacket, now: SimTime) {
-        self.on_packet(wire, now);
-    }
-
-    fn poll_wire(&mut self, now: SimTime) -> Option<QuicPacket> {
-        self.poll_transmit(now)
-    }
-
-    fn deadline(&self) -> Option<SimTime> {
-        self.next_timeout()
-    }
-
-    fn on_deadline(&mut self, now: SimTime) {
-        self.on_timeout(now);
-    }
-
-    fn abandon_deadline(&self) -> Option<SimTime> {
-        self.close_deadline()
     }
 }
 

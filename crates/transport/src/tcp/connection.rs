@@ -6,6 +6,7 @@ use h3cdn_sim_core::{SimDuration, SimTime};
 
 use crate::cc::{CcAlgorithm, CongestionController};
 use crate::conn_id::{ConnId, MsgTag};
+use crate::duplex::Driveable;
 use crate::rtt::RttEstimator;
 use crate::tcp::TcpSegment;
 use crate::CloseReason;
@@ -94,9 +95,7 @@ const DELAYED_ACK: SimDuration = SimDuration::from_millis(25);
 
 /// A sans-IO TCP connection endpoint (one side).
 ///
-/// Drive it with [`TcpConnection::on_segment`] and
-/// [`TcpConnection::on_timeout`]; drain output with
-/// [`TcpConnection::poll_transmit`] (until `None`) and
+/// Drive it through [`Driveable`]; drain events with
 /// [`TcpConnection::poll_event`].
 #[derive(Debug)]
 pub struct TcpConnection {
@@ -299,207 +298,12 @@ impl TcpConnection {
     pub fn poll_event(&mut self) -> Option<TcpEvent> {
         self.events.pop_front()
     }
+}
 
-    /// The next timer deadline, if any.
-    pub fn next_timeout(&self) -> Option<SimTime> {
-        if self.closed.is_some() {
-            return None;
-        }
-        [
-            self.rto_deadline,
-            self.tlp_deadline,
-            self.delayed_ack_deadline,
-            self.handshake_deadline(),
-            self.idle_deadline(),
-        ]
-        .into_iter()
-        .flatten()
-        .min()
-    }
+impl Driveable for TcpConnection {
+    type Wire = TcpSegment;
 
-    /// Earliest give-up deadline (handshake or idle timeout) — the timer
-    /// that closes the connection rather than advancing a transfer. Test
-    /// harnesses use this to quiesce without chasing the idle close.
-    pub fn close_deadline(&self) -> Option<SimTime> {
-        if self.closed.is_some() {
-            return None;
-        }
-        [self.handshake_deadline(), self.idle_deadline()]
-            .into_iter()
-            .flatten()
-            .min()
-    }
-
-    /// Deadline for an incomplete handshake: client-side from `connect`,
-    /// server-side from the first received SYN.
-    fn handshake_deadline(&self) -> Option<SimTime> {
-        if self.state == TcpState::Established {
-            return None;
-        }
-        Some(self.handshake_started_at? + self.config.handshake_timeout)
-    }
-
-    fn idle_deadline(&self) -> Option<SimTime> {
-        Some(self.idle_anchor? + self.config.idle_timeout)
-    }
-
-    /// Closes the connection silently (no RST on the wire — the paths
-    /// that trigger this are exactly the ones that eat packets) and
-    /// disarms every timer.
-    fn close(&mut self, now: SimTime, reason: CloseReason) {
-        if self.closed.is_some() {
-            return;
-        }
-        self.closed = Some((now, reason));
-        self.rto_deadline = None;
-        self.tlp_deadline = None;
-        self.delayed_ack_deadline = None;
-        self.ack_pending = false;
-        self.need_syn = false;
-        self.need_syn_ack = false;
-        self.in_flight.clear();
-        self.rtx_queue.clear();
-        self.bytes_in_flight = 0;
-        self.events.push_back(TcpEvent::Closed { at: now, reason });
-    }
-
-    /// Fires expired timers. Call when virtual time reaches
-    /// [`TcpConnection::next_timeout`].
-    pub fn on_timeout(&mut self, now: SimTime) {
-        if self.closed.is_some() {
-            return;
-        }
-        if self.handshake_deadline().is_some_and(|d| d <= now) {
-            self.close(now, CloseReason::HandshakeTimeout);
-            return;
-        }
-        if self.idle_deadline().is_some_and(|d| d <= now) {
-            self.close(now, CloseReason::IdleTimeout);
-            return;
-        }
-        // Delayed-ACK timer.
-        if self.delayed_ack_deadline.is_some_and(|d| d <= now) {
-            self.delayed_ack_deadline = None;
-            self.ack_pending = true;
-        }
-        // Tail loss probe next: cheaper and non-destructive.
-        if self.tlp_deadline.is_some_and(|d| d <= now) {
-            self.tlp_deadline = None;
-            if self.state == TcpState::Established && !self.tlp_used && self.rtx_queue.is_empty() {
-                if let Some((seq, seg)) = self.in_flight.pop_last() {
-                    self.tlp_used = true;
-                    let len = seg.len;
-                    self.bytes_in_flight = self.bytes_in_flight.saturating_sub(len);
-                    self.rtx_queue.insert(seq, len);
-                    self.force_rtx_credit += 1;
-                    self.retransmit_count += 1;
-                }
-            }
-        }
-        let deadline = match self.rto_deadline {
-            Some(d) if d <= now => d,
-            _ => return,
-        };
-        let _ = deadline;
-        self.rto_backoff = (self.rto_backoff + 1).min(10);
-        match self.state {
-            TcpState::SynSent => {
-                self.need_syn = true;
-                self.retransmit_count += 1;
-                self.arm_rto(now);
-            }
-            TcpState::SynReceived => {
-                self.need_syn_ack = true;
-                self.retransmit_count += 1;
-                self.arm_rto(now);
-            }
-            TcpState::Established => {
-                if self.in_flight.is_empty() && self.rtx_queue.is_empty() {
-                    self.rto_deadline = None;
-                    return;
-                }
-                // RFC 6298: retransmit the earliest unacked segment and
-                // collapse the window; SACK repairs any further holes as
-                // acknowledgements resume (no go-back-N redump).
-                self.cc.on_timeout(now);
-                if let Some((&seq, seg)) = self.in_flight.iter().next() {
-                    let len = seg.len;
-                    self.in_flight.remove(&seq);
-                    self.bytes_in_flight = self.bytes_in_flight.saturating_sub(len);
-                    self.rtx_queue.insert(seq, len);
-                    self.force_rtx_credit += 1;
-                }
-                self.dup_acks = 0;
-                self.in_recovery = false;
-                self.arm_rto(now);
-            }
-            TcpState::Closed => {
-                self.rto_deadline = None;
-            }
-        }
-    }
-
-    /// Produces the next segment to put on the wire, or `None` when the
-    /// connection has nothing (more) to send right now. Call repeatedly
-    /// until `None` after any input.
-    pub fn poll_transmit(&mut self, now: SimTime) -> Option<TcpSegment> {
-        if self.closed.is_some() {
-            return None;
-        }
-        if self.need_syn {
-            self.need_syn = false;
-            self.syn_sent_at = Some(now);
-            self.mark_sent_activity(now);
-            return Some(self.segment(true, false, 0, 0, vec![]));
-        }
-        if self.need_syn_ack {
-            self.need_syn_ack = false;
-            self.syn_ack_sent_at = Some(now);
-            self.mark_sent_activity(now);
-            return Some(self.segment(true, true, 0, 0, vec![]));
-        }
-        if self.state != TcpState::Established {
-            return None;
-        }
-
-        // Retransmissions take priority over new data.
-        if let Some((&seq, &len)) = self.rtx_queue.iter().next() {
-            let allowed = self.force_rtx_credit > 0 || self.has_window_for(len);
-            if allowed {
-                self.force_rtx_credit = self.force_rtx_credit.saturating_sub(1);
-                self.rtx_queue.remove(&seq);
-                self.track_sent(seq, len, now, true);
-                self.retransmit_count += 1;
-                self.mark_sent_activity(now);
-                let markers = self.markers_in_range(seq, len);
-                return Some(self.data_segment(seq, len, markers));
-            }
-        } else if self.next_to_send < self.send_written {
-            let remaining = self.send_written - self.next_to_send;
-            let window = self.available_window();
-            let len = remaining.min(self.config.mss);
-            // Silly-window-syndrome avoidance (RFC 9293 §3.8.6.2): never
-            // chop a full-sized segment down to fit a sliver of window —
-            // wait for an acknowledgement to open it instead.
-            if window >= len {
-                let seq = self.next_to_send;
-                self.next_to_send += len;
-                self.track_sent(seq, len, now, false);
-                self.mark_sent_activity(now);
-                let markers = self.markers_in_range(seq, len);
-                return Some(self.data_segment(seq, len, markers));
-            }
-        }
-
-        if self.ack_pending {
-            self.ack_pending = false;
-            return Some(self.segment(false, true, self.snd_una, 0, vec![]));
-        }
-        None
-    }
-
-    /// Feeds one received segment into the state machine.
-    pub fn on_segment(&mut self, seg: TcpSegment, now: SimTime) {
+    fn on_packet(&mut self, seg: TcpSegment, now: SimTime) {
         debug_assert_eq!(seg.conn, self.id, "segment routed to wrong connection");
         debug_assert_ne!(
             seg.from_client, self.is_client,
@@ -606,6 +410,197 @@ impl TcpConnection {
         }
     }
 
+    fn poll_transmit(&mut self, now: SimTime) -> Option<TcpSegment> {
+        if self.closed.is_some() {
+            return None;
+        }
+        if self.need_syn {
+            self.need_syn = false;
+            self.syn_sent_at = Some(now);
+            self.mark_sent_activity(now);
+            return Some(self.segment(true, false, 0, 0, vec![]));
+        }
+        if self.need_syn_ack {
+            self.need_syn_ack = false;
+            self.syn_ack_sent_at = Some(now);
+            self.mark_sent_activity(now);
+            return Some(self.segment(true, true, 0, 0, vec![]));
+        }
+        if self.state != TcpState::Established {
+            return None;
+        }
+
+        // Retransmissions take priority over new data.
+        if let Some((&seq, &len)) = self.rtx_queue.iter().next() {
+            let allowed = self.force_rtx_credit > 0 || self.has_window_for(len);
+            if allowed {
+                self.force_rtx_credit = self.force_rtx_credit.saturating_sub(1);
+                self.rtx_queue.remove(&seq);
+                self.track_sent(seq, len, now, true);
+                self.retransmit_count += 1;
+                self.mark_sent_activity(now);
+                let markers = self.markers_in_range(seq, len);
+                return Some(self.data_segment(seq, len, markers));
+            }
+        } else if self.next_to_send < self.send_written {
+            let remaining = self.send_written - self.next_to_send;
+            let window = self.available_window();
+            let len = remaining.min(self.config.mss);
+            // Silly-window-syndrome avoidance (RFC 9293 §3.8.6.2): never
+            // chop a full-sized segment down to fit a sliver of window —
+            // wait for an acknowledgement to open it instead.
+            if window >= len {
+                let seq = self.next_to_send;
+                self.next_to_send += len;
+                self.track_sent(seq, len, now, false);
+                self.mark_sent_activity(now);
+                let markers = self.markers_in_range(seq, len);
+                return Some(self.data_segment(seq, len, markers));
+            }
+        }
+
+        if self.ack_pending {
+            self.ack_pending = false;
+            return Some(self.segment(false, true, self.snd_una, 0, vec![]));
+        }
+        None
+    }
+
+    fn next_timeout(&self) -> Option<SimTime> {
+        if self.closed.is_some() {
+            return None;
+        }
+        [
+            self.rto_deadline,
+            self.tlp_deadline,
+            self.delayed_ack_deadline,
+            self.handshake_deadline(),
+            self.idle_deadline(),
+        ]
+        .into_iter()
+        .flatten()
+        .min()
+    }
+
+    fn on_timeout(&mut self, now: SimTime) {
+        if self.closed.is_some() {
+            return;
+        }
+        if self.handshake_deadline().is_some_and(|d| d <= now) {
+            self.close(now, CloseReason::HandshakeTimeout);
+            return;
+        }
+        if self.idle_deadline().is_some_and(|d| d <= now) {
+            self.close(now, CloseReason::IdleTimeout);
+            return;
+        }
+        // Delayed-ACK timer.
+        if self.delayed_ack_deadline.is_some_and(|d| d <= now) {
+            self.delayed_ack_deadline = None;
+            self.ack_pending = true;
+        }
+        // Tail loss probe next: cheaper and non-destructive.
+        if self.tlp_deadline.is_some_and(|d| d <= now) {
+            self.tlp_deadline = None;
+            if self.state == TcpState::Established && !self.tlp_used && self.rtx_queue.is_empty() {
+                if let Some((seq, seg)) = self.in_flight.pop_last() {
+                    self.tlp_used = true;
+                    let len = seg.len;
+                    self.bytes_in_flight = self.bytes_in_flight.saturating_sub(len);
+                    self.rtx_queue.insert(seq, len);
+                    self.force_rtx_credit += 1;
+                    self.retransmit_count += 1;
+                }
+            }
+        }
+        let deadline = match self.rto_deadline {
+            Some(d) if d <= now => d,
+            _ => return,
+        };
+        let _ = deadline;
+        self.rto_backoff = (self.rto_backoff + 1).min(10);
+        match self.state {
+            TcpState::SynSent => {
+                self.need_syn = true;
+                self.retransmit_count += 1;
+                self.arm_rto(now);
+            }
+            TcpState::SynReceived => {
+                self.need_syn_ack = true;
+                self.retransmit_count += 1;
+                self.arm_rto(now);
+            }
+            TcpState::Established => {
+                if self.in_flight.is_empty() && self.rtx_queue.is_empty() {
+                    self.rto_deadline = None;
+                    return;
+                }
+                // RFC 6298: retransmit the earliest unacked segment and
+                // collapse the window; SACK repairs any further holes as
+                // acknowledgements resume (no go-back-N redump).
+                self.cc.on_timeout(now);
+                if let Some((&seq, seg)) = self.in_flight.iter().next() {
+                    let len = seg.len;
+                    self.in_flight.remove(&seq);
+                    self.bytes_in_flight = self.bytes_in_flight.saturating_sub(len);
+                    self.rtx_queue.insert(seq, len);
+                    self.force_rtx_credit += 1;
+                }
+                self.dup_acks = 0;
+                self.in_recovery = false;
+                self.arm_rto(now);
+            }
+            TcpState::Closed => {
+                self.rto_deadline = None;
+            }
+        }
+    }
+
+    fn close_deadline(&self) -> Option<SimTime> {
+        if self.closed.is_some() {
+            return None;
+        }
+        [self.handshake_deadline(), self.idle_deadline()]
+            .into_iter()
+            .flatten()
+            .min()
+    }
+}
+
+impl TcpConnection {
+    /// Deadline for an incomplete handshake: client-side from `connect`,
+    /// server-side from the first received SYN.
+    fn handshake_deadline(&self) -> Option<SimTime> {
+        if self.state == TcpState::Established {
+            return None;
+        }
+        Some(self.handshake_started_at? + self.config.handshake_timeout)
+    }
+
+    fn idle_deadline(&self) -> Option<SimTime> {
+        Some(self.idle_anchor? + self.config.idle_timeout)
+    }
+
+    /// Closes the connection silently (no RST on the wire — the paths
+    /// that trigger this are exactly the ones that eat packets) and
+    /// disarms every timer.
+    fn close(&mut self, now: SimTime, reason: CloseReason) {
+        if self.closed.is_some() {
+            return;
+        }
+        self.closed = Some((now, reason));
+        self.rto_deadline = None;
+        self.tlp_deadline = None;
+        self.delayed_ack_deadline = None;
+        self.ack_pending = false;
+        self.need_syn = false;
+        self.need_syn_ack = false;
+        self.in_flight.clear();
+        self.rtx_queue.clear();
+        self.bytes_in_flight = 0;
+        self.events.push_back(TcpEvent::Closed { at: now, reason });
+    }
+
     fn process_ack(&mut self, ack: u64, pure_ack: bool, now: SimTime) {
         if ack > self.snd_una {
             let newly_acked = ack - self.snd_una;
@@ -624,7 +619,9 @@ impl TcpConnection {
                 .collect();
             let mut sampled = false;
             for seq in covered {
-                let seg = self.in_flight.remove(&seq).expect("covered segment");
+                let Some(seg) = self.in_flight.remove(&seq) else {
+                    continue;
+                };
                 self.bytes_in_flight = self.bytes_in_flight.saturating_sub(seg.len);
                 if !sampled && !seg.retransmitted {
                     let sample = now - seg.sent_at;
@@ -700,7 +697,9 @@ impl TcpConnection {
             .map(|(&seq, _)| seq)
             .collect();
         for seq in covered {
-            let seg = self.in_flight.remove(&seq).expect("covered segment");
+            let Some(seg) = self.in_flight.remove(&seq) else {
+                continue;
+            };
             self.bytes_in_flight = self.bytes_in_flight.saturating_sub(seg.len);
             self.cc.on_ack(seg.len, now);
         }
@@ -714,7 +713,7 @@ impl TcpConnection {
         //    in a full queue is retried within ~an RTT.
         let loss_delay = self.rtt.loss_delay();
         let reorder_window = 3 * self.config.mss;
-        let holes: Vec<(u64, u64)> = self
+        let holes: Vec<u64> = self
             .in_flight
             .iter()
             .filter(|(&seq, seg)| {
@@ -723,15 +722,17 @@ impl TcpConnection {
                 let by_time = end <= highest_sacked && seg.sent_at + loss_delay <= now;
                 (by_sequence || by_time) && (!seg.retransmitted || seg.sent_at + loss_delay <= now)
             })
-            .map(|(&seq, seg)| (seq, seg.len))
+            .map(|(&seq, _)| seq)
             .collect();
         if holes.is_empty() {
             return;
         }
-        for (seq, len) in &holes {
-            self.in_flight.remove(seq).expect("hole tracked");
-            self.bytes_in_flight = self.bytes_in_flight.saturating_sub(*len);
-            self.rtx_queue.insert(*seq, *len);
+        for seq in holes {
+            let Some(seg) = self.in_flight.remove(&seq) else {
+                continue;
+            };
+            self.bytes_in_flight = self.bytes_in_flight.saturating_sub(seg.len);
+            self.rtx_queue.insert(seq, seg.len);
             self.force_rtx_credit += 1;
         }
         if !self.in_recovery {
@@ -986,9 +987,9 @@ mod tests {
                 if arrival == Some(next) {
                     let (_, (to_client, seg)) = self.queue.pop().unwrap();
                     if to_client {
-                        self.client.on_segment(seg, self.now);
+                        self.client.on_packet(seg, self.now);
                     } else {
-                        self.server.on_segment(seg, self.now);
+                        self.server.on_packet(seg, self.now);
                     }
                 } else if t_client == Some(next) {
                     self.client.on_timeout(self.now);
@@ -1357,7 +1358,7 @@ mod tests {
             sack: vec![],
         };
         let at = SimTime::ZERO + SimDuration::from_millis(20);
-        client.on_segment(rst, at);
+        client.on_packet(rst, at);
         assert!(client.is_closed());
         assert_eq!(client.close_reason(), Some(CloseReason::Refused));
         let closed = std::iter::from_fn(|| client.poll_event()).any(|e| {

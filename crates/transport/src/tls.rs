@@ -27,6 +27,7 @@ use std::collections::{HashMap, VecDeque};
 use h3cdn_sim_core::{SimDuration, SimTime};
 
 use crate::conn_id::{ConnId, MsgTag};
+use crate::duplex::Driveable;
 use crate::tcp::{TcpConfig, TcpConnection, TcpEvent, TcpSegment};
 use crate::CloseReason;
 
@@ -361,41 +362,41 @@ impl SecureTcp {
         self.tcp.unsent_bytes()
     }
 
-    /// Feeds one received segment.
-    pub fn on_segment(&mut self, seg: TcpSegment, now: SimTime) {
-        self.tcp.on_segment(seg, now);
-        self.process_tcp_events();
-    }
-
-    /// Fires expired timers.
-    pub fn on_timeout(&mut self, now: SimTime) {
-        self.tcp.on_timeout(now);
-        self.process_tcp_events();
-    }
-
-    /// Next timer deadline.
-    pub fn next_timeout(&self) -> Option<SimTime> {
-        self.tcp.next_timeout()
-    }
-
-    /// Earliest give-up deadline (handshake or idle timeout) of the
-    /// underlying TCP connection (see [`TcpConnection::close_deadline`]).
-    pub fn close_deadline(&self) -> Option<SimTime> {
-        self.tcp.close_deadline()
-    }
-
-    /// Produces the next segment to send, or `None` when idle.
-    pub fn poll_transmit(&mut self, now: SimTime) -> Option<TcpSegment> {
-        self.process_tcp_events();
-        self.tcp.poll_transmit(now)
-    }
-
     /// Pops the next TLS-level event.
     pub fn poll_event(&mut self) -> Option<TlsEvent> {
         self.process_tcp_events();
         self.events.pop_front()
     }
+}
 
+impl Driveable for SecureTcp {
+    type Wire = TcpSegment;
+
+    fn on_packet(&mut self, seg: TcpSegment, now: SimTime) {
+        self.tcp.on_packet(seg, now);
+        self.process_tcp_events();
+    }
+
+    fn poll_transmit(&mut self, now: SimTime) -> Option<TcpSegment> {
+        self.process_tcp_events();
+        self.tcp.poll_transmit(now)
+    }
+
+    fn next_timeout(&self) -> Option<SimTime> {
+        self.tcp.next_timeout()
+    }
+
+    fn on_timeout(&mut self, now: SimTime) {
+        self.tcp.on_timeout(now);
+        self.process_tcp_events();
+    }
+
+    fn close_deadline(&self) -> Option<SimTime> {
+        self.tcp.close_deadline()
+    }
+}
+
+impl SecureTcp {
     fn process_tcp_events(&mut self) {
         while let Some(ev) = self.tcp.poll_event() {
             match ev {
@@ -533,30 +534,6 @@ impl SecureTcp {
         while let Some((len, tag)) = self.pending_app.pop_front() {
             self.tcp.write_message(len + RECORD_OVERHEAD, tag);
         }
-    }
-}
-
-impl crate::duplex::Driveable for SecureTcp {
-    type Wire = TcpSegment;
-
-    fn on_wire(&mut self, wire: TcpSegment, now: SimTime) {
-        self.on_segment(wire, now);
-    }
-
-    fn poll_wire(&mut self, now: SimTime) -> Option<TcpSegment> {
-        self.poll_transmit(now)
-    }
-
-    fn deadline(&self) -> Option<SimTime> {
-        self.next_timeout()
-    }
-
-    fn on_deadline(&mut self, now: SimTime) {
-        self.on_timeout(now);
-    }
-
-    fn abandon_deadline(&self) -> Option<SimTime> {
-        self.close_deadline()
     }
 }
 

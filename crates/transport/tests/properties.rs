@@ -5,7 +5,7 @@
 use h3cdn_netsim::NodeId;
 use h3cdn_sim_core::{SimDuration, SimTime};
 use h3cdn_transport::cc::{CcAlgorithm, MIN_WINDOW};
-use h3cdn_transport::duplex::Duplex;
+use h3cdn_transport::duplex::{Driveable, Duplex};
 use h3cdn_transport::quic::{QuicConfig, QuicConnection, QuicEvent};
 use h3cdn_transport::tcp::{TcpConfig, TcpConnection, TcpEvent};
 use h3cdn_transport::{ConnId, MsgTag, RttEstimator};
@@ -259,7 +259,7 @@ fn transports_tolerate_reordering_jitter() {
         fn handle_packet(&mut self, packet: Wire, ctx: &mut NodeCtx<'_, Wire>) {
             let now = ctx.now();
             match (&mut self.end, packet) {
-                (End::Tcp(c), Wire::Tcp(s)) => c.on_segment(s, now),
+                (End::Tcp(c), Wire::Tcp(s)) => c.on_packet(s, now),
                 (End::Quic(c), Wire::Quic(p)) => c.on_packet(p, now),
                 _ => unreachable!("mixed transports"),
             }

@@ -4,8 +4,8 @@
 //! pure function of its configuration, and its output — down to the
 //! serialized bytes — does not depend on the worker count. These tests
 //! pin that guarantee on the real measurement pipeline (compare_all,
-//! the Fig. 9 loss sweep, the full report) and on the runner's merge
-//! order itself via a property test.
+//! the Fig. 9 loss sweep, every artifact `repro_all` prints) and on
+//! the runner's merge order itself via a property test.
 
 use h3cdn::{run_keyed, CampaignConfig, MeasurementCampaign, RunnerConfig, Vantage};
 use h3cdn_experiments::fig9;
@@ -44,15 +44,11 @@ fn fig9_sweep_json_is_byte_identical_across_worker_counts() {
 
 #[test]
 fn full_report_is_byte_identical_across_worker_counts() {
-    let opts = h3cdn_experiments::report::ReportOptions {
-        loss_percents: vec![0.0],
-        fig9_repeats: 1,
-        warmup: 1,
-        ..h3cdn_experiments::report::ReportOptions::default()
-    };
-    let serial = h3cdn_experiments::report::generate_report(&campaign(1), &opts);
-    let parallel = h3cdn_experiments::report::generate_report(&campaign(8), &opts);
+    // Every artifact `repro_all` prints, Table II through Fig. 9.
+    let serial = h3cdn_experiments::repro_all(&campaign(1), Vantage::Utah);
+    let parallel = h3cdn_experiments::repro_all(&campaign(8), Vantage::Utah);
     assert_eq!(serial, parallel);
+    assert!(serial.contains("=== corpus: 4 pages"));
 }
 
 #[test]
