@@ -17,7 +17,7 @@ use h3cdn_transport::{CcAlgorithm, CloseReason, ConnId, WirePacket};
 use h3cdn_web::{DomainId, Hosting, Resource};
 
 use crate::config::ProtocolMode;
-use crate::host::{Deadlines, Tracked};
+use crate::host::{Deadlines, PortTable, Tracked};
 use crate::resilience::{BrokenQuicCache, ResilienceStats};
 
 /// Browsers open at most this many parallel H1 connections per host.
@@ -117,11 +117,11 @@ pub(crate) struct ClientHost {
     plan: Vec<PlannedRequest>,
     domain_info: HashMap<DomainId, DomainInfo>,
     tickets: TicketStore,
-    conns: BTreeMap<ConnId, Tracked<ClientConn, ConnInfo>>,
+    /// Every connection of the visit, by port.
+    conns: PortTable<ClientConn, ConnInfo>,
     pools: BTreeMap<(DomainId, HttpVersion), Vec<ConnId>>,
     entries: Vec<EntryState>,
     index_of_request: HashMap<u64, usize>,
-    next_port: u32,
     started: bool,
     /// Instant the visit begins (first dispatch). `SimTime::ZERO` for a
     /// solo visit; swarm drivers stagger client arrivals with it.
@@ -212,11 +212,10 @@ impl ClientHost {
             plan,
             domain_info,
             tickets,
-            conns: BTreeMap::new(),
+            conns: PortTable::default(),
             pools: BTreeMap::new(),
             entries: vec![EntryState::default(); n],
             index_of_request,
-            next_port: 1,
             started: false,
             start_at: SimTime::ZERO,
             remaining: n,
@@ -315,7 +314,7 @@ impl ClientHost {
     pub fn on_packet(&mut self, pkt: WirePacket, ctx: &mut NodeCtx<'_, WirePacket>) {
         let id = pkt.conn_id();
         let now = ctx.now();
-        if let Some(st) = self.conns.get_mut(&id) {
+        if let Some(st) = self.conns.get_mut(id) {
             st.conn.on_packet(pkt, now);
             self.dirty.insert(id);
         }
@@ -365,22 +364,21 @@ impl ClientHost {
             self.dirty.remove(&id);
             cursor = Some(id);
             // Transmit everything ready on this connection.
-            while let Some(st) = self.conns.get_mut(&id) {
-                let Some(pkt) = st.conn.poll_transmit(now) else {
-                    break;
-                };
-                let size = ByteCount::new(pkt.wire_bytes());
-                ctx.send(id.server, pkt, size);
+            if let Some(st) = self.conns.get_mut(id) {
+                while let Some(pkt) = st.conn.poll_transmit(now) {
+                    let size = ByteCount::new(pkt.wire_bytes());
+                    ctx.send(id.server, pkt, size);
+                }
             }
             // Handle its events (may dispatch onto other conns, marking
             // them dirty).
-            while let Some(st) = self.conns.get_mut(&id) {
+            while let Some(st) = self.conns.get_mut(id) {
                 let Some(ev) = st.conn.poll_event() else {
                     break;
                 };
                 self.on_http_event(id, ev, now);
             }
-            if let Some(st) = self.conns.get_mut(&id) {
+            if let Some(st) = self.conns.get_mut(id) {
                 self.deadlines.rearm(id, st);
             }
         }
@@ -394,9 +392,11 @@ impl ClientHost {
             Some(c) => self.dirty.range((Bound::Excluded(c), Bound::Unbounded)),
             None => self.dirty.range(..),
         };
-        range
-            .copied()
-            .find(|id| self.conns[id].info.born_round < self.pump_round)
+        range.copied().find(|&id| {
+            self.conns
+                .get(id)
+                .is_none_or(|st| st.info.born_round < self.pump_round)
+        })
     }
 
     fn on_http_event(&mut self, conn_id: ConnId, ev: HttpEvent, now: SimTime) {
@@ -431,12 +431,13 @@ impl ClientHost {
                 }
             }
             HttpEvent::TicketIssued { at } => {
-                let domain = self.conns[&conn_id].info.domain;
-                self.tickets.insert(h3cdn_transport::tls::Ticket {
-                    domain: domain.0,
-                    issued_at: at,
-                    lifetime: TICKET_LIFETIME,
-                });
+                if let Some(st) = self.conns.get(conn_id) {
+                    self.tickets.insert(h3cdn_transport::tls::Ticket {
+                        domain: st.info.domain.0,
+                        issued_at: at,
+                        lifetime: TICKET_LIFETIME,
+                    });
+                }
             }
             HttpEvent::ConnectionClosed { at, reason } => {
                 self.on_conn_closed(conn_id, at, reason);
@@ -451,7 +452,7 @@ impl ClientHost {
     fn lose_race(&mut self, conn_id: ConnId, now: SimTime) {
         let handshaken = self
             .conns
-            .get(&conn_id)
+            .get(conn_id)
             .is_some_and(|st| st.conn.handshake_complete_at().is_some());
         if handshaken {
             return; // QUIC made it after all; nothing to do.
@@ -467,7 +468,7 @@ impl ClientHost {
         self.h3_races.remove(&conn_id);
         let Some((domain, version)) = self
             .conns
-            .get(&conn_id)
+            .get(conn_id)
             .map(|st| (st.info.domain, st.conn.version()))
         else {
             return;
@@ -513,7 +514,7 @@ impl ClientHost {
     /// re-dispatch every request stranded on the failed H3 connection
     /// (they will pick a TCP-based version via [`ClientHost::choose_version`]).
     fn fail_over_from_h3(&mut self, conn_id: ConnId, now: SimTime) {
-        let Some(domain) = self.conns.get(&conn_id).map(|st| st.info.domain) else {
+        let Some(domain) = self.conns.get(conn_id).map(|st| st.info.domain) else {
             return;
         };
         self.broken_quic.mark(domain.0);
@@ -525,7 +526,7 @@ impl ClientHost {
         self.resilience.h3_fallbacks += 1;
         if let Some(started) = self
             .conns
-            .get(&conn_id)
+            .get(conn_id)
             .and_then(|st| st.conn.connect_started_at())
         {
             // Time QUIC was given before the browser cut its losses —
@@ -616,8 +617,8 @@ impl ClientHost {
             HttpVersion::H1 => {
                 // Reuse an idle connection, else grow the pool to six,
                 // else queue on the least-loaded one.
-                let idle = pool.iter().copied().find(|id| {
-                    matches!(&self.conns[id].conn, ClientConn::H1(c) if !c.is_busy() && c.queued_len() == 0)
+                let idle = pool.iter().copied().find(|&id| {
+                    matches!(self.conns.get(id).map(|st| &st.conn), Some(ClientConn::H1(c)) if !c.is_busy() && c.queued_len() == 0)
                 });
                 match idle {
                     Some(id) => (id, false),
@@ -628,8 +629,8 @@ impl ClientHost {
                         let least = pool
                             .iter()
                             .copied()
-                            .min_by_key(|id| match &self.conns[id].conn {
-                                ClientConn::H1(c) => c.queued_len(),
+                            .min_by_key(|&id| match self.conns.get(id).map(|st| &st.conn) {
+                                Some(ClientConn::H1(c)) => c.queued_len(),
                                 _ => usize::MAX,
                             })
                             .expect("H1 pool non-empty");
@@ -642,7 +643,7 @@ impl ClientHost {
         self.entries[idx].conn = Some(conn_id);
         self.entries[idx].creator = creator;
         self.conns
-            .get_mut(&conn_id)
+            .get_mut(conn_id)
             .expect("dispatch target exists")
             .conn
             .send_request(RequestMeta {
@@ -654,9 +655,7 @@ impl ClientHost {
 
     fn open_conn(&mut self, domain: DomainId, version: HttpVersion, now: SimTime) -> ConnId {
         let info = self.domain_info[&domain].clone();
-        let port = self.next_port;
-        self.next_port += 1;
-        let id = ConnId::new(self.me, info.node, port);
+        let id = ConnId::new(self.me, info.node, self.conns.next_port());
         let ticket = self.tickets.lookup(domain.0, now);
         let tcp = TcpConfig {
             initial_rtt: info.rtt,
@@ -711,7 +710,7 @@ impl ClientHost {
             domain,
             born_round: self.pump_round,
         };
-        self.conns.insert(id, Tracked::new(conn, info));
+        self.conns.push(id, Tracked::new(conn, info));
         self.dirty.insert(id);
         id
     }
@@ -732,8 +731,10 @@ impl ClientHost {
         let mut entries = Vec::with_capacity(self.plan.len());
         for (idx, planned) in self.plan.iter().enumerate() {
             let st = &self.entries[idx];
-            let conn_id = st.conn.expect("entry was dispatched");
-            let conn = &self.conns[&conn_id].conn;
+            let (conn_id, conn) = st
+                .conn
+                .and_then(|id| Some((id, &self.conns.get(id)?.conn)))
+                .expect("entry was dispatched onto a kept connection");
             let info = &self.domain_info[&planned.resource.domain];
             let dispatched = st.dispatched_at.expect("entry was dispatched");
             let headers_at = st.headers_at.expect("response headers arrived");

@@ -1,5 +1,6 @@
-//! The node enum driven by the `h3cdn-netsim` engine, and the
-//! per-connection deadline index both of its hosts wake on.
+//! The node enum driven by the `h3cdn-netsim` engine, the
+//! per-connection deadline index both of its hosts wake on, and the
+//! client's connection table.
 
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -84,6 +85,73 @@ impl<C, X> Tracked<C, X> {
     }
 }
 
+/// A host's connections, found by id: the container
+/// [`Deadlines::fire_due`] fires into.
+pub(crate) trait TrackedConns<C, X> {
+    /// The connection `id`, if the host holds it.
+    fn tracked_mut(&mut self, id: ConnId) -> Option<&mut Tracked<C, X>>;
+}
+
+impl<C, X> TrackedConns<C, X> for BTreeMap<ConnId, Tracked<C, X>> {
+    fn tracked_mut(&mut self, id: ConnId) -> Option<&mut Tracked<C, X>> {
+        self.get_mut(&id)
+    }
+}
+
+/// A client's connections in a dense table indexed by port: the client
+/// hands out ports 1, 2, 3, ... and keeps every connection to the end of
+/// its visit, so the connection on port `p` sits at index `p - 1`. A
+/// lookup checks the whole [`ConnId`], not just its port.
+#[derive(Debug)]
+pub(crate) struct PortTable<C, X> {
+    slots: Vec<(ConnId, Tracked<C, X>)>,
+}
+
+impl<C, X> Default for PortTable<C, X> {
+    fn default() -> Self {
+        PortTable { slots: Vec::new() }
+    }
+}
+
+impl<C, X> PortTable<C, X> {
+    /// The port the next connection must use.
+    pub fn next_port(&self) -> u32 {
+        u32::try_from(self.slots.len() + 1).unwrap_or(u32::MAX)
+    }
+
+    /// Adds the connection `id`, which must use [`Self::next_port`].
+    pub fn push(&mut self, id: ConnId, st: Tracked<C, X>) {
+        debug_assert_eq!(id.port, self.next_port(), "ports are handed out densely");
+        self.slots.push((id, st));
+    }
+
+    /// Index of the slot holding connection `id`, if any.
+    fn index(&self, id: ConnId) -> Option<usize> {
+        let at = usize::try_from(id.port).ok()?.checked_sub(1)?;
+        self.slots
+            .get(at)
+            .is_some_and(|(held, _)| *held == id)
+            .then_some(at)
+    }
+
+    /// The connection `id`.
+    pub fn get(&self, id: ConnId) -> Option<&Tracked<C, X>> {
+        self.slots.get(self.index(id)?).map(|(_, st)| st)
+    }
+
+    /// The connection `id`, mutably.
+    pub fn get_mut(&mut self, id: ConnId) -> Option<&mut Tracked<C, X>> {
+        let at = self.index(id)?;
+        self.slots.get_mut(at).map(|(_, st)| st)
+    }
+}
+
+impl<C, X> TrackedConns<C, X> for PortTable<C, X> {
+    fn tracked_mut(&mut self, id: ConnId) -> Option<&mut Tracked<C, X>> {
+        self.get_mut(id)
+    }
+}
+
 /// `(deadline, conn)` pairs mirroring each tracked connection's
 /// `next_timeout()`, ordered by time, then by connection id. A host's
 /// wakeup reads the first key instead of scanning every connection.
@@ -111,7 +179,7 @@ impl Deadlines {
     pub fn fire_due<C: Driveable, X>(
         &mut self,
         now: SimTime,
-        conns: &mut BTreeMap<ConnId, Tracked<C, X>>,
+        conns: &mut impl TrackedConns<C, X>,
         mut fired: impl FnMut(ConnId),
     ) {
         while let Some(&(t, id)) = self.0.first() {
@@ -119,7 +187,7 @@ impl Deadlines {
                 break;
             }
             self.0.remove(&(t, id));
-            let Some(st) = conns.get_mut(&id) else {
+            let Some(st) = conns.tracked_mut(id) else {
                 continue;
             };
             st.armed = None;

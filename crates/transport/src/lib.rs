@@ -34,6 +34,7 @@ pub mod conn_id;
 pub mod duplex;
 pub mod quic;
 pub mod rtt;
+mod seq_ring;
 pub mod tcp;
 pub mod tls;
 pub mod wire;

@@ -11,6 +11,7 @@ use crate::duplex::Driveable;
 use crate::quic::streams::{RecvStream, SendStream};
 use crate::quic::{Frame, QuicPacket, CRYPTO_STREAM, MAX_PAYLOAD};
 use crate::rtt::RttEstimator;
+use crate::seq_ring::SeqRing;
 use crate::tls::Ticket;
 use crate::CloseReason;
 
@@ -194,7 +195,8 @@ pub struct QuicConnection {
     cc: Box<dyn CongestionController>,
     rtt: RttEstimator,
     next_pn: u64,
-    sent: BTreeMap<u64, SentPacket>,
+    /// Ack-eliciting packets in flight, by packet number.
+    sent: SeqRing<SentPacket>,
     bytes_in_flight: u64,
     largest_acked: Option<u64>,
     loss_time: Option<SimTime>,
@@ -210,6 +212,11 @@ pub struct QuicConnection {
     rtx_credit: u32,
 
     send_streams: BTreeMap<u64, SendStream>,
+    /// Application streams with pending data (new or retransmission),
+    /// ascending: exactly the ids of `send_streams` other than
+    /// [`CRYPTO_STREAM`] whose `has_pending()` holds, so the scheduler
+    /// never walks a drained stream.
+    active_streams: Vec<u64>,
     recv_streams: BTreeMap<u64, RecvStream>,
     /// Scheduling class per stream (lower first); absent means default.
     stream_priorities: BTreeMap<u64, u8>,
@@ -297,7 +304,7 @@ impl QuicConnection {
             cc,
             rtt,
             next_pn: 0,
-            sent: BTreeMap::new(),
+            sent: SeqRing::default(),
             bytes_in_flight: 0,
             largest_acked: None,
             loss_time: None,
@@ -305,6 +312,7 @@ impl QuicConnection {
             recovery_start: None,
             rtx_credit: 0,
             send_streams: BTreeMap::new(),
+            active_streams: Vec::new(),
             recv_streams: BTreeMap::new(),
             stream_priorities: BTreeMap::new(),
             next_stream_id: 0,
@@ -428,10 +436,7 @@ impl QuicConnection {
         if self.early_data_enabled {
             self.ready_to_send = true;
             self.send_ready_at = Some(now);
-            self.used_early_data = self
-                .send_streams
-                .iter()
-                .any(|(&id, s)| id != CRYPTO_STREAM && s.has_pending());
+            self.used_early_data = !self.active_streams.is_empty();
         }
     }
 
@@ -454,6 +459,8 @@ impl QuicConnection {
     pub fn write_stream(&mut self, stream: u64, len: u64, tag: MsgTag) {
         debug_assert_ne!(stream, CRYPTO_STREAM, "crypto stream is internal");
         self.send_streams.entry(stream).or_default().write(len, tag);
+        self.index_stream(stream);
+        debug_assert!(self.active_index_is_exact(), "stale active-stream index");
         if self.is_client && self.early_data_enabled && self.hs_state == HsState::AwaitServerFlight
         {
             self.used_early_data = true;
@@ -613,25 +620,23 @@ impl Driveable for QuicConnection {
             // top class. First pass: the top (minimum) class among
             // streams with pending data.
             let mut top: Option<u8> = None;
-            for (&id, s) in &self.send_streams {
-                if id != CRYPTO_STREAM && s.has_pending() {
-                    let prio = self.stream_priorities.get(&id).copied().unwrap_or(1);
-                    top = Some(top.map_or(prio, |t| t.min(prio)));
-                }
+            for id in &self.active_streams {
+                let prio = self.stream_priorities.get(id).copied().unwrap_or(1);
+                top = Some(top.map_or(prio, |t| t.min(prio)));
             }
             // Second pass: the top class's stream ids (ascending, the
-            // map's order) and their total backlog, into a reused buffer.
+            // index's order) and their total backlog, into a reused buffer.
             let mut ids = std::mem::take(&mut self.rr_scratch);
             ids.clear();
             let mut total_pending = 0u64;
             if let Some(top) = top {
-                for (&id, s) in &self.send_streams {
-                    if id != CRYPTO_STREAM
-                        && s.has_pending()
-                        && self.stream_priorities.get(&id).copied().unwrap_or(1) == top
-                    {
-                        ids.push(id);
-                        total_pending += s.pending_bytes();
+                for id in &self.active_streams {
+                    if self.stream_priorities.get(id).copied().unwrap_or(1) == top {
+                        ids.push(*id);
+                        total_pending += self
+                            .send_streams
+                            .get(id)
+                            .map_or(0, SendStream::pending_bytes);
                     }
                 }
             }
@@ -658,8 +663,8 @@ impl Driveable for QuicConnection {
                         .unwrap_or(self.config.max_stream_data);
                     let Some(stream) = self.send_streams.get_mut(&id) else {
                         // A listed id without a stream entry cannot occur
-                        // (rr_scratch is rebuilt from send_streams' keys);
-                        // skip it rather than panic.
+                        // (the index holds only send_streams' keys); skip
+                        // it rather than panic.
                         i = (i + 1) % ids.len().max(1);
                         visited += 1;
                         continue;
@@ -667,6 +672,7 @@ impl Driveable for QuicConnection {
                     if let Some((offset, len, markers)) =
                         stream.take_limited((budget - 12).min(app_room - 12), flow_limit)
                     {
+                        let drained = !stream.has_pending();
                         budget -= 12 + len;
                         app_room -= (12 + len).min(app_room);
                         stream_payload += len;
@@ -678,6 +684,11 @@ impl Driveable for QuicConnection {
                             len,
                             markers,
                         });
+                        if drained {
+                            if let Ok(at) = self.active_streams.binary_search(&id) {
+                                self.active_streams.remove(at);
+                            }
+                        }
                     }
                     i = (i + 1) % ids.len();
                     visited += 1;
@@ -686,6 +697,7 @@ impl Driveable for QuicConnection {
             self.rr_scratch = ids;
         }
 
+        debug_assert!(self.active_index_is_exact(), "stale active-stream index");
         if frames.is_empty() {
             // Keep both (still empty) buffers for the next call.
             self.frame_pool.push(frames);
@@ -724,7 +736,7 @@ impl Driveable for QuicConnection {
                 self.rtx_credit -= 1;
             }
         } else {
-            self.reclaim_rtx(rtx_info);
+            reclaim_rtx(&mut self.rtx_pool, rtx_info);
         }
         Some(pkt)
     }
@@ -1039,41 +1051,32 @@ impl QuicConnection {
         };
         self.largest_acked = Some(self.largest_acked.map_or(largest, |l| l.max(largest)));
 
-        let mut acked = std::mem::take(&mut self.pn_scratch);
-        acked.clear();
-        acked.extend(
-            self.sent
-                .keys()
-                .copied()
-                .filter(|pn| ranges.iter().any(|&(lo, hi)| (lo..=hi).contains(pn))),
+        // Newly acked packets leave in ascending packet number; the RTT
+        // sample comes from the largest acked one if it is among them.
+        let mut any_acked = false;
+        let (bytes_in_flight, cc, rtt, rtx_pool) = (
+            &mut self.bytes_in_flight,
+            &mut self.cc,
+            &mut self.rtt,
+            &mut self.rtx_pool,
         );
-        if acked.is_empty() {
-            self.pn_scratch = acked;
+        self.sent.drain_ranges(ranges, |pn, info| {
+            any_acked = true;
+            *bytes_in_flight = bytes_in_flight.saturating_sub(info.size);
+            cc.on_ack(info.size, now);
+            if pn == largest {
+                let sample = now - info.sent_at;
+                rtt.on_sample(sample);
+                cc.on_rtt_sample(sample, now);
+            }
+            reclaim_rtx(rtx_pool, std::mem::take(&mut info.frames));
+        });
+        if !any_acked {
             // Still re-evaluate time-threshold losses against the (possibly
             // new) largest acked.
             self.detect_lost(now);
             return;
         }
-        let mut newly_acked_largest = 0;
-        for &pn in &acked {
-            // `acked` was collected from `sent`'s own keys; a miss means
-            // the entry is already gone, and there is nothing to account.
-            let Some(info) = self.sent.remove(&pn) else {
-                continue;
-            };
-            self.bytes_in_flight = self.bytes_in_flight.saturating_sub(info.size);
-            self.cc.on_ack(info.size, now);
-            if pn >= newly_acked_largest {
-                newly_acked_largest = pn;
-                if pn == largest {
-                    let sample = now - info.sent_at;
-                    self.rtt.on_sample(sample);
-                    self.cc.on_rtt_sample(sample, now);
-                }
-            }
-            self.reclaim_rtx(info.frames);
-        }
-        self.pn_scratch = acked;
         self.pto_count = 0;
         self.detect_lost(now);
     }
@@ -1087,7 +1090,7 @@ impl QuicConnection {
         let mut lost = std::mem::take(&mut self.pn_scratch);
         lost.clear();
         let mut next_loss_time: Option<SimTime> = None;
-        for (&pn, info) in &self.sent {
+        for (pn, info) in self.sent.iter() {
             if pn >= largest_acked {
                 break;
             }
@@ -1108,7 +1111,7 @@ impl QuicConnection {
         for &pn in &lost {
             // `lost` came from `sent`'s own keys; tolerate a vanished
             // entry the same way `on_ack` does.
-            let Some(info) = self.sent.remove(&pn) else {
+            let Some(info) = self.sent.remove(pn) else {
                 continue;
             };
             self.bytes_in_flight = self.bytes_in_flight.saturating_sub(info.size);
@@ -1153,6 +1156,7 @@ impl QuicConnection {
                         .entry(id)
                         .or_default()
                         .requeue(offset, len);
+                    self.index_stream(id);
                 }
                 RtxInfo::MaxData => self.need_max_data = true,
                 RtxInfo::MaxStreamData { id } => {
@@ -1160,23 +1164,53 @@ impl QuicConnection {
                 }
             }
         }
-        self.reclaim_rtx(frames);
+        reclaim_rtx(&mut self.rtx_pool, frames);
+        debug_assert!(self.active_index_is_exact(), "stale active-stream index");
     }
 
-    /// Returns a drained retransmission-info buffer to the pool.
-    fn reclaim_rtx(&mut self, mut v: Vec<RtxInfo>) {
-        if self.rtx_pool.len() < POOL_CAP {
-            v.clear();
-            self.rtx_pool.push(v);
+    /// Adds `id` to the active-stream index once its send stream has
+    /// pending data, and drops it once the stream drained.
+    fn index_stream(&mut self, id: u64) {
+        if id == CRYPTO_STREAM {
+            return;
         }
+        let pending = self
+            .send_streams
+            .get(&id)
+            .is_some_and(SendStream::has_pending);
+        match (self.active_streams.binary_search(&id), pending) {
+            (Err(at), true) => self.active_streams.insert(at, id),
+            (Ok(at), false) => {
+                self.active_streams.remove(at);
+            }
+            _ => {}
+        }
+    }
+
+    /// Whether `active_streams` lists exactly the application streams
+    /// with pending data, ascending.
+    fn active_index_is_exact(&self) -> bool {
+        self.send_streams
+            .iter()
+            .filter(|&(&id, s)| id != CRYPTO_STREAM && s.has_pending())
+            .map(|(&id, _)| id)
+            .eq(self.active_streams.iter().copied())
     }
 
     fn pto_deadline(&self) -> Option<SimTime> {
         // Packet numbers are assigned in send order and `now` never goes
         // backwards, so the first tracked packet is also the oldest.
-        let oldest = self.sent.values().next().map(|p| p.sent_at)?;
+        let oldest = self.sent.first().map(|(_, p)| p.sent_at)?;
         let backoff = 1u64 << self.pto_count.min(10);
         Some(oldest + self.rtt.pto(self.config.max_ack_delay) * backoff)
+    }
+}
+
+/// Returns a drained retransmission-info buffer to `pool`.
+fn reclaim_rtx(pool: &mut Vec<Vec<RtxInfo>>, mut v: Vec<RtxInfo>) {
+    if pool.len() < POOL_CAP {
+        v.clear();
+        pool.push(v);
     }
 }
 

@@ -8,6 +8,7 @@ use crate::cc::{CcAlgorithm, CongestionController};
 use crate::conn_id::{ConnId, MsgTag};
 use crate::duplex::Driveable;
 use crate::rtt::RttEstimator;
+use crate::seq_ring::SeqRing;
 use crate::tcp::TcpSegment;
 use crate::CloseReason;
 
@@ -110,11 +111,13 @@ pub struct TcpConnection {
     send_written: u64,
     next_to_send: u64,
     snd_una: u64,
-    in_flight: BTreeMap<u64, SentSegment>,
+    /// Unacknowledged segments by first byte.
+    in_flight: SeqRing<SentSegment>,
     bytes_in_flight: u64,
     rtx_queue: BTreeMap<u64, u64>,
     force_rtx_credit: u32,
-    send_markers: BTreeMap<u64, MsgTag>,
+    /// Message boundaries not yet acknowledged: end offset → tag.
+    send_markers: SeqRing<MsgTag>,
     dup_acks: u32,
     in_recovery: bool,
     recovery_end: u64,
@@ -188,11 +191,11 @@ impl TcpConnection {
             send_written: 0,
             next_to_send: 0,
             snd_una: 0,
-            in_flight: BTreeMap::new(),
+            in_flight: SeqRing::default(),
             bytes_in_flight: 0,
             rtx_queue: BTreeMap::new(),
             force_rtx_credit: 0,
-            send_markers: BTreeMap::new(),
+            send_markers: SeqRing::default(),
             dup_acks: 0,
             in_recovery: false,
             recovery_end: 0,
@@ -539,11 +542,9 @@ impl Driveable for TcpConnection {
                 // collapse the window; SACK repairs any further holes as
                 // acknowledgements resume (no go-back-N redump).
                 self.cc.on_timeout(now);
-                if let Some((&seq, seg)) = self.in_flight.iter().next() {
-                    let len = seg.len;
-                    self.in_flight.remove(&seq);
-                    self.bytes_in_flight = self.bytes_in_flight.saturating_sub(len);
-                    self.rtx_queue.insert(seq, len);
+                if let Some((seq, seg)) = self.in_flight.pop_first() {
+                    self.bytes_in_flight = self.bytes_in_flight.saturating_sub(seg.len);
+                    self.rtx_queue.insert(seq, seg.len);
                     self.force_rtx_credit += 1;
                 }
                 self.dup_acks = 0;
@@ -611,17 +612,9 @@ impl TcpConnection {
 
             // Remove fully covered in-flight segments; take one RTT sample
             // from a never-retransmitted segment (Karn's algorithm).
-            let covered: Vec<u64> = self
-                .in_flight
-                .iter()
-                .take_while(|(&seq, seg)| seq + seg.len <= ack)
-                .map(|(&seq, _)| seq)
-                .collect();
             let mut sampled = false;
-            for seq in covered {
-                let Some(seg) = self.in_flight.remove(&seq) else {
-                    continue;
-                };
+            while let Some((_, seg)) = self.in_flight.pop_first_if(|seq, seg| seq + seg.len <= ack)
+            {
                 self.bytes_in_flight = self.bytes_in_flight.saturating_sub(seg.len);
                 if !sampled && !seg.retransmitted {
                     let sample = now - seg.sent_at;
@@ -631,30 +624,19 @@ impl TcpConnection {
                 }
             }
             // Drop acknowledged retransmission intents.
-            let stale_rtx: Vec<u64> = self
-                .rtx_queue
-                .range(..ack)
-                .filter(|(&seq, &len)| seq + len <= ack)
-                .map(|(&seq, _)| seq)
-                .collect();
-            for seq in stale_rtx {
-                self.rtx_queue.remove(&seq);
-            }
-            self.send_markers = self.send_markers.split_off(&(ack + 1));
+            self.rtx_queue
+                .retain(|&seq, &mut len| seq >= ack || seq + len > ack);
+            self.send_markers.remove_through(ack);
             self.cc.on_ack(newly_acked, now);
 
             if self.in_recovery {
                 if ack >= self.recovery_end {
                     self.in_recovery = false;
-                } else if let Some((&seq, seg)) = self.in_flight.iter().next() {
+                } else if let Some((seq, seg)) = self.in_flight.pop_first_if(|seq, _| seq == ack) {
                     // NewReno-style partial ACK: retransmit the next hole.
-                    if seq == ack {
-                        let len = seg.len;
-                        self.bytes_in_flight = self.bytes_in_flight.saturating_sub(len);
-                        self.in_flight.remove(&seq);
-                        self.rtx_queue.insert(seq, len);
-                        self.force_rtx_credit += 1;
-                    }
+                    self.bytes_in_flight = self.bytes_in_flight.saturating_sub(seg.len);
+                    self.rtx_queue.insert(seq, seg.len);
+                    self.force_rtx_credit += 1;
                 }
             }
             self.arm_or_clear_rto(now);
@@ -662,11 +644,9 @@ impl TcpConnection {
             self.dup_acks += 1;
             if self.dup_acks == 3 && !self.in_recovery {
                 // Fast retransmit of the earliest unacked segment.
-                if let Some((&seq, seg)) = self.in_flight.iter().next() {
-                    let len = seg.len;
-                    self.bytes_in_flight = self.bytes_in_flight.saturating_sub(len);
-                    self.in_flight.remove(&seq);
-                    self.rtx_queue.insert(seq, len);
+                if let Some((seq, seg)) = self.in_flight.pop_first() {
+                    self.bytes_in_flight = self.bytes_in_flight.saturating_sub(seg.len);
+                    self.rtx_queue.insert(seq, seg.len);
                     self.force_rtx_credit += 1;
                 }
                 self.cc.on_congestion_event(now);
@@ -685,24 +665,19 @@ impl TcpConnection {
         let Some(highest_sacked) = sack.iter().map(|&(_, end)| end).max() else {
             return;
         };
-        // 1. Remove segments fully covered by a SACK block: they were
-        //    delivered and no longer occupy the pipe.
-        let covered: Vec<u64> = self
-            .in_flight
-            .iter()
-            .filter(|(&seq, seg)| {
-                sack.iter()
-                    .any(|&(lo, hi)| seq >= lo && seq + seg.len <= hi)
-            })
-            .map(|(&seq, _)| seq)
-            .collect();
-        for seq in covered {
-            let Some(seg) = self.in_flight.remove(&seq) else {
-                continue;
-            };
-            self.bytes_in_flight = self.bytes_in_flight.saturating_sub(seg.len);
-            self.cc.on_ack(seg.len, now);
-        }
+        // 1. Remove segments fully covered by a SACK block, in ascending
+        //    order: they were delivered and no longer occupy the pipe.
+        let (cc, bytes_in_flight) = (&mut self.cc, &mut self.bytes_in_flight);
+        self.in_flight.retain(|seq, seg| {
+            let sacked = sack
+                .iter()
+                .any(|&(lo, hi)| seq >= lo && seq + seg.len <= hi);
+            if sacked {
+                *bytes_in_flight = bytes_in_flight.saturating_sub(seg.len);
+                cc.on_ack(seg.len, now);
+            }
+            !sacked
+        });
         // 2. Retransmit the holes below the highest sacked byte. RFC 6675
         //    reordering tolerance: a hole is declared lost only once
         //    ~three segments' worth of data is SACKed above it, or after
@@ -713,28 +688,25 @@ impl TcpConnection {
         //    in a full queue is retried within ~an RTT.
         let loss_delay = self.rtt.loss_delay();
         let reorder_window = 3 * self.config.mss;
-        let holes: Vec<u64> = self
-            .in_flight
-            .iter()
-            .filter(|(&seq, seg)| {
-                let end = seq + seg.len;
-                let by_sequence = end <= highest_sacked && highest_sacked - end >= reorder_window;
-                let by_time = end <= highest_sacked && seg.sent_at + loss_delay <= now;
-                (by_sequence || by_time) && (!seg.retransmitted || seg.sent_at + loss_delay <= now)
-            })
-            .map(|(&seq, _)| seq)
-            .collect();
-        if holes.is_empty() {
+        let (rtx_queue, bytes_in_flight) = (&mut self.rtx_queue, &mut self.bytes_in_flight);
+        let mut holes = 0;
+        self.in_flight.retain(|seq, seg| {
+            let end = seq + seg.len;
+            let by_sequence = end <= highest_sacked && highest_sacked - end >= reorder_window;
+            let by_time = end <= highest_sacked && seg.sent_at + loss_delay <= now;
+            let hole =
+                (by_sequence || by_time) && (!seg.retransmitted || seg.sent_at + loss_delay <= now);
+            if hole {
+                *bytes_in_flight = bytes_in_flight.saturating_sub(seg.len);
+                rtx_queue.insert(seq, seg.len);
+                holes += 1;
+            }
+            !hole
+        });
+        if holes == 0 {
             return;
         }
-        for seq in holes {
-            let Some(seg) = self.in_flight.remove(&seq) else {
-                continue;
-            };
-            self.bytes_in_flight = self.bytes_in_flight.saturating_sub(seg.len);
-            self.rtx_queue.insert(seq, seg.len);
-            self.force_rtx_credit += 1;
-        }
+        self.force_rtx_credit += holes;
         if !self.in_recovery {
             self.in_recovery = true;
             self.recovery_end = self.next_to_send;
@@ -789,8 +761,8 @@ impl TcpConnection {
 
     fn markers_in_range(&self, seq: u64, len: u64) -> Vec<(u64, MsgTag)> {
         self.send_markers
-            .range(seq + 1..=seq + len)
-            .map(|(&end, &tag)| (end, tag))
+            .range(seq + 1, seq + len)
+            .map(|(end, &tag)| (end, tag))
             .collect()
     }
 

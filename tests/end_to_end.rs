@@ -137,3 +137,73 @@ fn experiment_pipeline_runs_on_shared_comparisons() {
     assert!(fig6.to_string().contains("Fig. 6(a)"));
     assert!(fig7.to_string().contains("Fig. 7(a/b)"));
 }
+
+/// Connection reuse, the mechanism behind Fig. 7, on the 5-page corpus
+/// of `tests/event_counts.rs` at zero loss: every request to one domain
+/// over H2, and every one over H3, shares a single connection, and no
+/// domain opens more than the browser's six HTTP/1.1 connections.
+#[test]
+fn pooling_never_opens_a_second_multiplexed_connection_to_a_domain() {
+    use h3cdn::browser::{try_visit_page, BrokenQuicCache};
+    use h3cdn::transport::tls::TicketStore;
+    use h3cdn::web::{generate, WorkloadSpec};
+    use std::collections::{BTreeMap, BTreeSet};
+
+    let corpus = generate(&WorkloadSpec::default().with_pages(5).with_seed(0xBE_AC4));
+    // Multiplexed (domain, protocol) groups that carried two or more
+    // requests: the ones a per-request connection would split.
+    let mut shared = BTreeMap::<String, usize>::new();
+    for mode in [ProtocolMode::H2Only, ProtocolMode::H3Enabled] {
+        let cfg = h3cdn::VisitConfig {
+            loss_percent: 0.0,
+            baseline_loss_percent: 0.0,
+            ..h3cdn::VisitConfig::default().with_mode(mode)
+        };
+        for page in &corpus.pages {
+            let har = try_visit_page(
+                page,
+                &corpus.domains,
+                &cfg,
+                TicketStore::new(),
+                BrokenQuicCache::new(),
+            )
+            .expect("zero-loss visits complete")
+            .har;
+            let mut conns = BTreeMap::<(&str, &str), (BTreeSet<u64>, usize)>::new();
+            for e in &har.entries {
+                let group = conns.entry((&e.domain, &e.protocol)).or_default();
+                group.0.insert(e.connection);
+                group.1 += 1;
+            }
+            for ((domain, protocol), (ids, requests)) in conns {
+                match protocol {
+                    "h2" | "h3" => {
+                        assert_eq!(
+                            ids.len(),
+                            1,
+                            "{mode:?} site {}: {requests} {protocol} requests to {domain} \
+                             spread over connections {ids:?}",
+                            page.site
+                        );
+                        if requests > 1 {
+                            *shared.entry(protocol.to_owned()).or_default() += 1;
+                        }
+                    }
+                    "http/1.1" => assert!(
+                        ids.len() <= 6,
+                        "{mode:?} site {}: {domain} holds {} HTTP/1.1 connections",
+                        page.site,
+                        ids.len()
+                    ),
+                    other => panic!("unknown protocol {other}"),
+                }
+            }
+        }
+    }
+    for protocol in ["h2", "h3"] {
+        assert!(
+            shared.get(protocol).is_some_and(|&n| n > 0),
+            "no {protocol} connection carried two requests: {shared:?}"
+        );
+    }
+}
