@@ -10,9 +10,10 @@ use h3cdn_netsim::{NodeCtx, NodeId};
 use h3cdn_sim_core::units::ByteCount;
 use h3cdn_sim_core::{SimDuration, SimRng, SimTime};
 use h3cdn_transport::duplex::Driveable;
+use h3cdn_transport::handshake::TlsVersion;
 use h3cdn_transport::quic::QuicConfig;
 use h3cdn_transport::tcp::TcpConfig;
-use h3cdn_transport::tls::{TicketStore, TlsConfig, TlsVersion};
+use h3cdn_transport::tls::{TicketStore, TlsConfig};
 use h3cdn_transport::{CcAlgorithm, CloseReason, ConnId, WirePacket};
 use h3cdn_web::{DomainId, Hosting, Resource};
 
@@ -453,7 +454,7 @@ impl ClientHost {
         let handshaken = self
             .conns
             .get(conn_id)
-            .is_some_and(|st| st.conn.handshake_complete_at().is_some());
+            .is_some_and(|st| st.conn.handshake().handshake_complete_at().is_some());
         if handshaken {
             return; // QUIC made it after all; nothing to do.
         }
@@ -527,7 +528,7 @@ impl ClientHost {
         if let Some(started) = self
             .conns
             .get(conn_id)
-            .and_then(|st| st.conn.connect_started_at())
+            .and_then(|st| st.conn.handshake().connect_started_at())
         {
             // Time QUIC was given before the browser cut its losses —
             // the per-fallback time-to-fallback penalty.
@@ -662,33 +663,18 @@ impl ClientHost {
             cc: self.cc,
             ..TcpConfig::default()
         };
+        let tls = TlsConfig {
+            version: if info.tls12 {
+                TlsVersion::Tls12
+            } else {
+                TlsVersion::Tls13
+            },
+            ticket,
+            early_data: true,
+        };
         let mut conn = match version {
-            HttpVersion::H1 => ClientConn::H1(h3cdn_http::h1::H1Client::new(
-                id,
-                tcp,
-                TlsConfig {
-                    version: if info.tls12 {
-                        TlsVersion::Tls12
-                    } else {
-                        TlsVersion::Tls13
-                    },
-                    ticket,
-                    early_data: true,
-                },
-            )),
-            HttpVersion::H2 => ClientConn::H2(h3cdn_http::h2::H2Client::new(
-                id,
-                tcp,
-                TlsConfig {
-                    version: if info.tls12 {
-                        TlsVersion::Tls12
-                    } else {
-                        TlsVersion::Tls13
-                    },
-                    ticket,
-                    early_data: true,
-                },
-            )),
+            HttpVersion::H1 => ClientConn::H1(h3cdn_http::h1::H1Client::new(id, tcp, tls)),
+            HttpVersion::H2 => ClientConn::H2(h3cdn_http::h2::H2Client::new(id, tcp, tls)),
             HttpVersion::H3 => {
                 let quic = QuicConfig {
                     initial_rtt: info.rtt,
@@ -741,7 +727,8 @@ impl ClientHost {
             let done_at = st.done_at.expect("response completed");
             // The connection phase starts once the name is resolved.
             let after_dns = dispatched + SimDuration::from_millis_f64(st.dns_ms);
-            let ready = conn
+            let handshake = conn.handshake();
+            let ready = handshake
                 .send_ready_at()
                 .expect("connection completed its handshake")
                 .max(after_dns);
@@ -783,8 +770,8 @@ impl ClientHost {
                     wait_ms,
                     receive_ms,
                 },
-                resumed: conn.was_resumed(),
-                early_data: st.creator && conn.used_early_data(),
+                resumed: handshake.was_resumed(),
+                early_data: st.creator && handshake.used_early_data(),
             });
         }
         let page = HarPage {

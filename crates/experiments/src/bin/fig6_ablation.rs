@@ -26,10 +26,7 @@ impl std::fmt::Display for Ablation {
 }
 
 fn main() {
-    let mut opts = h3cdn_experiments::parse_args(std::env::args().skip(1));
-    if opts.pages == 325 {
-        opts.pages = 80;
-    }
+    let opts = h3cdn_experiments::parse_args_with(std::env::args().skip(1), "", 80);
     let campaign = h3cdn_experiments::campaign_named(&opts, "fig6_ablation");
     let run = |alt_svc: bool| -> fig6::Fig6 {
         let mut base = VisitConfig::default().with_vantage(opts.vantage);

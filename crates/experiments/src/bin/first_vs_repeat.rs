@@ -40,10 +40,8 @@ impl std::fmt::Display for FirstVsRepeat {
 }
 
 fn main() {
-    let mut opts = h3cdn_experiments::parse_args(std::env::args().skip(1));
-    if opts.pages == 325 {
-        opts.pages = 60; // four visits per page; keep the default run brisk
-    }
+    // Four visits per page: keep the default run brisk.
+    let opts = h3cdn_experiments::parse_args_with(std::env::args().skip(1), "", 60);
     let campaign = h3cdn_experiments::campaign_named(&opts, "first_vs_repeat");
     let config = campaign.config();
     let vantage = opts.vantage.name().to_lowercase();

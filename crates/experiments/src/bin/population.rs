@@ -33,11 +33,11 @@ fn main() {
     let smoke = args.iter().any(|a| a == "--smoke");
     args.retain(|a| a != "--smoke");
     let window = extract_window(&mut args).unwrap_or(population::DEFAULT_WINDOW);
-    let pages_given = args.iter().any(|a| a == "--pages");
-    let mut opts = h3cdn_experiments::parse_args_with(args.into_iter(), "--smoke   --window N   ");
-    if !pages_given {
-        opts.pages = if smoke { 10_000 } else { 100_000 };
-    }
+    let opts = h3cdn_experiments::parse_args_with(
+        args.into_iter(),
+        "--smoke   --window N   ",
+        if smoke { 10_000 } else { 100_000 },
+    );
     let spec = PopulationSpec::default()
         .with_seed(opts.seed)
         .with_pages(opts.pages as u64);

@@ -4,10 +4,8 @@
 use h3cdn_experiments::sensitivity::{run_sensitivity, Knob};
 
 fn main() {
-    let mut opts = h3cdn_experiments::parse_args(std::env::args().skip(1));
-    if opts.pages == 325 {
-        opts.pages = 40; // 4 knobs × settings × paired visits: keep brisk
-    }
+    // 4 knobs × settings × paired visits: keep the default run brisk.
+    let opts = h3cdn_experiments::parse_args_with(std::env::args().skip(1), "", 40);
     let campaign = h3cdn_experiments::campaign_named(&opts, "sensitivity");
     for knob in [
         Knob::H3ExtraProcessingMs,

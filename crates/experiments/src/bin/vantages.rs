@@ -41,10 +41,7 @@ impl std::fmt::Display for Vantages {
 }
 
 fn main() {
-    let mut opts = h3cdn_experiments::parse_args(std::env::args().skip(1));
-    if opts.pages == 325 {
-        opts.pages = 80;
-    }
+    let opts = h3cdn_experiments::parse_args_with(std::env::args().skip(1), "", 80);
     let campaign = h3cdn_experiments::campaign_named(&opts, "vantages");
     let rows = Vantage::ALL
         .into_iter()

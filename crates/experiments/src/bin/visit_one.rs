@@ -45,7 +45,11 @@ fn main() {
             _ => i += 1,
         }
     }
-    let opts = h3cdn_experiments::parse_args_with(args.into_iter(), "--site N   --mode h2|h3   ");
+    let opts = h3cdn_experiments::parse_args_with(
+        args.into_iter(),
+        "--site N   --mode h2|h3   ",
+        h3cdn_experiments::PAPER_PAGES,
+    );
     let Some(site) = site else {
         usage_error("visit_one needs --site N (see --help)")
     };

@@ -4,7 +4,9 @@
 //! the same flags:
 //!
 //! ```text
-//! --pages N      corpus size (default 325, the paper's scale)
+//! --pages N      corpus size (default 325, the paper's scale; binaries
+//!                that visit each page many times default lower, and an
+//!                explicit value always wins)
 //! --seed S       corpus seed (default: the paper-calibrated default)
 //! --vantage V    Utah | Wisconsin | Clemson (default Utah; experiments
 //!                that average across vantages take all three regardless)
@@ -107,11 +109,14 @@ pub struct Options {
     pub argv: Vec<String>,
 }
 
+/// The paper's corpus size, the default `--pages`.
+pub const PAPER_PAGES: usize = 325;
+
 impl Default for Options {
     fn default() -> Self {
         let env = RunnerConfig::from_env();
         Options {
-            pages: 325,
+            pages: PAPER_PAGES,
             seed: WorkloadSpec::default().seed,
             vantage: Vantage::Utah,
             json: false,
@@ -182,13 +187,17 @@ pub(crate) enum ArgsError {
     Invalid(String),
 }
 
-/// Parses `std::env::args`-style flags.
+/// Parses `std::env::args`-style flags; without `--pages` the corpus
+/// has `default_pages` pages.
 ///
 /// # Errors
 ///
 /// [`ArgsError::Help`] on `--help`/`-h`; [`ArgsError::Invalid`] on an
 /// unknown flag or a missing or malformed value.
-pub(crate) fn try_parse_args(mut args: impl Iterator<Item = String>) -> Result<Options, ArgsError> {
+pub(crate) fn try_parse_args(
+    mut args: impl Iterator<Item = String>,
+    default_pages: usize,
+) -> Result<Options, ArgsError> {
     fn value<T: std::str::FromStr>(
         opts: &mut Options,
         args: &mut dyn Iterator<Item = String>,
@@ -201,7 +210,10 @@ pub(crate) fn try_parse_args(mut args: impl Iterator<Item = String>) -> Result<O
         v.and_then(|v| v.parse().ok())
             .ok_or_else(|| ArgsError::Invalid(expects.to_owned()))
     }
-    let mut opts = Options::default();
+    let mut opts = Options {
+        pages: default_pages,
+        ..Options::default()
+    };
     while let Some(arg) = args.next() {
         opts.argv.push(arg.clone());
         match arg.as_str() {
@@ -266,9 +278,14 @@ pub(crate) fn try_parse_args(mut args: impl Iterator<Item = String>) -> Result<O
 
 /// Parses the common flags the way a CLI should: `--help` prints
 /// `own_flags` (the binary's extra flags, if any) and the common flags,
-/// then exits 0; a malformed command line is a [`usage_error`].
-pub fn parse_args_with(args: impl Iterator<Item = String>, own_flags: &str) -> Options {
-    match try_parse_args(args) {
+/// then exits 0; a malformed command line is a [`usage_error`]. Without
+/// `--pages` the corpus has `default_pages` pages.
+pub fn parse_args_with(
+    args: impl Iterator<Item = String>,
+    own_flags: &str,
+    default_pages: usize,
+) -> Options {
+    match try_parse_args(args, default_pages) {
         Ok(opts) => opts,
         Err(ArgsError::Help) => {
             println!("flags: {own_flags}{COMMON_FLAGS}");
@@ -278,9 +295,10 @@ pub fn parse_args_with(args: impl Iterator<Item = String>, own_flags: &str) -> O
     }
 }
 
-/// [`parse_args_with`] for a binary that takes only the common flags.
+/// [`parse_args_with`] for a binary that takes only the common flags
+/// and defaults to the paper's scale.
 pub fn parse_args(args: impl Iterator<Item = String>) -> Options {
-    parse_args_with(args, "")
+    parse_args_with(args, "", PAPER_PAGES)
 }
 
 /// Prints `msg` as one line on stderr and exits 2, the usage-error
@@ -452,8 +470,15 @@ mod tests {
     use super::*;
 
     fn parse(s: &[&str]) -> Options {
-        try_parse_args(s.iter().map(std::string::ToString::to_string))
-            .expect("the command line parses")
+        parse_with_default(s, PAPER_PAGES)
+    }
+
+    fn parse_with_default(s: &[&str], default_pages: usize) -> Options {
+        try_parse_args(
+            s.iter().map(std::string::ToString::to_string),
+            default_pages,
+        )
+        .expect("the command line parses")
     }
 
     #[test]
@@ -461,6 +486,12 @@ mod tests {
         let o = parse(&[]);
         assert_eq!(o.pages, 325);
         assert!(!o.json);
+    }
+
+    #[test]
+    fn explicit_pages_beat_the_binary_default() {
+        assert_eq!(parse_with_default(&[], 40).pages, 40);
+        assert_eq!(parse_with_default(&["--pages", "325"], 40).pages, 325);
     }
 
     #[test]
@@ -481,7 +512,7 @@ mod tests {
     }
 
     fn parse_err(s: &[&str]) -> ArgsError {
-        try_parse_args(s.iter().map(std::string::ToString::to_string))
+        try_parse_args(s.iter().map(std::string::ToString::to_string), PAPER_PAGES)
             .expect_err("the command line is rejected")
     }
 

@@ -320,7 +320,7 @@ pub(crate) fn main<S: Sweep>() {
     let mut args: Vec<String> = std::env::args().skip(1).collect();
     let smoke = args.iter().any(|a| a == "--smoke");
     args.retain(|a| a != "--smoke");
-    let mut opts = crate::parse_args_with(args.into_iter(), "--smoke   ");
+    let mut opts = crate::parse_args_with(args.into_iter(), "--smoke   ", crate::PAPER_PAGES);
     if smoke {
         opts.pages = opts.pages.min(S::SMOKE_PAGES);
     }

@@ -2,6 +2,7 @@
 
 use h3cdn_sim_core::SimTime;
 use h3cdn_transport::duplex::Driveable;
+use h3cdn_transport::handshake::Handshake;
 use h3cdn_transport::{ConnId, WirePacket};
 
 use crate::h1::H1Client;
@@ -67,49 +68,13 @@ impl ClientConn {
         }
     }
 
-    /// Whether the handshake used session resumption.
-    pub fn was_resumed(&self) -> bool {
+    /// The connection's handshake: resumption, 0-RTT and the timings
+    /// the HAR `connect` phase is built from.
+    pub fn handshake(&self) -> &Handshake {
         match self {
-            ClientConn::H1(c) => c.secure().was_resumed(),
-            ClientConn::H2(c) => c.secure().was_resumed(),
-            ClientConn::H3(c) => c.quic().was_resumed(),
-        }
-    }
-
-    /// Whether request data was sent at 0-RTT.
-    pub fn used_early_data(&self) -> bool {
-        match self {
-            ClientConn::H1(c) => c.secure().used_early_data(),
-            ClientConn::H2(c) => c.secure().used_early_data(),
-            ClientConn::H3(c) => c.quic().used_early_data(),
-        }
-    }
-
-    /// When `connect` was called.
-    pub fn connect_started_at(&self) -> Option<SimTime> {
-        match self {
-            ClientConn::H1(c) => c.secure().connect_started_at(),
-            ClientConn::H2(c) => c.secure().connect_started_at(),
-            ClientConn::H3(c) => c.quic().connect_started_at(),
-        }
-    }
-
-    /// When the handshake completed.
-    pub fn handshake_complete_at(&self) -> Option<SimTime> {
-        match self {
-            ClientConn::H1(c) => c.secure().handshake_complete_at(),
-            ClientConn::H2(c) => c.secure().handshake_complete_at(),
-            ClientConn::H3(c) => c.quic().handshake_complete_at(),
-        }
-    }
-
-    /// When application data could first leave (the HAR `connect`
-    /// endpoint; equals the connect start under 0-RTT).
-    pub fn send_ready_at(&self) -> Option<SimTime> {
-        match self {
-            ClientConn::H1(c) => c.secure().send_ready_at(),
-            ClientConn::H2(c) => c.secure().send_ready_at(),
-            ClientConn::H3(c) => c.quic().send_ready_at(),
+            ClientConn::H1(c) => c.secure().handshake(),
+            ClientConn::H2(c) => c.secure().handshake(),
+            ClientConn::H3(c) => c.quic().handshake(),
         }
     }
 
@@ -196,8 +161,8 @@ mod tests {
         assert_eq!(h2.version(), HttpVersion::H2);
         assert_eq!(h3.version(), HttpVersion::H3);
         assert_eq!(h1.conn_id(), conn_id());
-        assert!(!h2.was_resumed());
-        assert!(h3.connect_started_at().is_none());
+        assert!(!h2.handshake().was_resumed());
+        assert!(h3.handshake().connect_started_at().is_none());
     }
 
     #[test]

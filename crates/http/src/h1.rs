@@ -13,7 +13,7 @@ use h3cdn_transport::tcp::TcpConfig;
 use h3cdn_transport::tls::{SecureTcp, TlsConfig, TlsEvent};
 use h3cdn_transport::{ConnId, WirePacket};
 
-use crate::types::{decode_tag, request_tag, HttpEvent, RequestMeta, TagKind};
+use crate::types::{request_tag, response_event, HttpEvent, RequestMeta};
 
 /// HTTP/1.1 request-header overhead relative to the compressed H2/H3
 /// form: H1 headers are uncompressed, roughly 3× larger.
@@ -88,7 +88,6 @@ impl H1Client {
                     self.events.push_back(HttpEvent::Connected { at });
                     self.maybe_dispatch();
                 }
-                TlsEvent::TcpEstablished { .. } => {}
                 TlsEvent::TicketIssued { at } => {
                     self.events.push_back(HttpEvent::TicketIssued { at });
                 }
@@ -96,22 +95,15 @@ impl H1Client {
                     self.events
                         .push_back(HttpEvent::ConnectionClosed { at, reason });
                 }
-                TlsEvent::Delivered { tag, at } => match decode_tag(tag) {
-                    TagKind::ResponseHeaders(id) => {
-                        self.events.push_back(HttpEvent::ResponseHeaders { id, at });
-                    }
-                    TagKind::ResponseDone(id) => {
+                TlsEvent::Delivered { tag, at } => {
+                    let ev = response_event(tag, at);
+                    self.events.extend(ev);
+                    if let Some(HttpEvent::ResponseComplete { id, .. }) = ev {
                         debug_assert_eq!(self.in_flight, Some(id), "response for idle request");
                         self.in_flight = None;
-                        self.events
-                            .push_back(HttpEvent::ResponseComplete { id, at });
                         self.maybe_dispatch();
                     }
-                    TagKind::ResponseChunk(_) => {}
-                    TagKind::Request(id) => {
-                        debug_assert!(false, "request {id} echoed to client");
-                    }
-                },
+                }
             }
         }
     }

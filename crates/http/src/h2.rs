@@ -7,7 +7,7 @@
 //! one in-order TCP stream, loss anywhere stalls all streams: the
 //! head-of-line blocking the paper contrasts with H3.
 
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::VecDeque;
 use std::sync::Arc;
 
 use h3cdn_sim_core::{SimDuration, SimTime};
@@ -16,9 +16,10 @@ use h3cdn_transport::tcp::TcpConfig;
 use h3cdn_transport::tls::{SecureTcp, TlsConfig, TlsEvent};
 use h3cdn_transport::{ConnId, WirePacket};
 
+use crate::server::Processing;
 use crate::types::{
-    decode_tag, request_tag, response_chunk_tag, response_done_tag, response_headers_tag, Catalog,
-    HttpEvent, RequestMeta, TagKind, FRAME_OVERHEAD,
+    decode_tag, request_tag, response_chunk_tag, response_done_tag, response_event,
+    response_headers_tag, Catalog, HttpEvent, RequestMeta, TagKind, FRAME_OVERHEAD,
 };
 
 /// Body bytes per interleaved DATA chunk.
@@ -79,32 +80,13 @@ impl H2Client {
 
     fn translate(&mut self) {
         while let Some(ev) = self.conn.poll_event() {
-            match ev {
-                TlsEvent::HandshakeComplete { at } => {
-                    self.events.push_back(HttpEvent::Connected { at });
-                }
-                TlsEvent::TcpEstablished { .. } => {}
-                TlsEvent::TicketIssued { at } => {
-                    self.events.push_back(HttpEvent::TicketIssued { at });
-                }
-                TlsEvent::Closed { at, reason } => {
-                    self.events
-                        .push_back(HttpEvent::ConnectionClosed { at, reason });
-                }
-                TlsEvent::Delivered { tag, at } => match decode_tag(tag) {
-                    TagKind::ResponseHeaders(id) => {
-                        self.events.push_back(HttpEvent::ResponseHeaders { id, at });
-                    }
-                    TagKind::ResponseDone(id) => {
-                        self.events
-                            .push_back(HttpEvent::ResponseComplete { id, at });
-                    }
-                    TagKind::ResponseChunk(_) => {}
-                    TagKind::Request(id) => {
-                        debug_assert!(false, "request {id} echoed to client");
-                    }
-                },
-            }
+            let ev = match ev {
+                TlsEvent::HandshakeComplete { at } => Some(HttpEvent::Connected { at }),
+                TlsEvent::TicketIssued { at } => Some(HttpEvent::TicketIssued { at }),
+                TlsEvent::Closed { at, reason } => Some(HttpEvent::ConnectionClosed { at, reason }),
+                TlsEvent::Delivered { tag, at } => response_event(tag, at),
+            };
+            self.events.extend(ev);
         }
     }
 }
@@ -152,11 +134,7 @@ struct ActiveResponse {
 #[derive(Debug)]
 pub struct TcpServer {
     conn: SecureTcp,
-    catalog: Arc<Catalog>,
-    /// Extra processing added to every response (e.g. protocol surcharge).
-    extra_processing: SimDuration,
-    /// Requests whose processing completes at the keyed time.
-    cooking: BTreeMap<SimTime, Vec<u64>>,
+    processing: Processing<()>,
     /// Response bodies being interleaved.
     active: VecDeque<ActiveResponse>,
     requests_served: u64,
@@ -172,9 +150,7 @@ impl TcpServer {
     ) -> Self {
         TcpServer {
             conn: SecureTcp::server(id, tcp),
-            catalog,
-            extra_processing,
-            cooking: BTreeMap::new(),
+            processing: Processing::new(catalog, extra_processing),
             active: VecDeque::new(),
             requests_served: 0,
         }
@@ -196,34 +172,25 @@ impl TcpServer {
         while let Some(ev) = self.conn.poll_event() {
             if let TlsEvent::Delivered { tag, at } = ev {
                 if let TagKind::Request(id) = decode_tag(tag) {
-                    let spec = self
-                        .catalog
-                        .get(id)
-                        .unwrap_or_else(|| panic!("request {id} not in catalog"));
-                    let ready = at + spec.processing + self.extra_processing;
-                    self.cooking.entry(ready).or_default().push(id);
+                    self.processing.admit(id, at, ());
                 }
             }
         }
         // 2. Move finished requests into the response pump.
-        let ready: Vec<SimTime> = self.cooking.range(..=now).map(|(&t, _)| t).collect();
-        for t in ready {
-            for id in self.cooking.remove(&t).expect("cooked batch") {
-                let spec = self.catalog.get(id).expect("catalog checked at ingest");
-                self.conn
-                    .write_app(spec.header_bytes + FRAME_OVERHEAD, response_headers_tag(id));
-                if spec.body_bytes == 0 {
-                    // Header-only response: completion rides on a 1-byte
-                    // sentinel chunk so the done tag has a final byte.
-                    self.conn.write_app(1, response_done_tag(id));
-                    self.requests_served += 1;
-                } else {
-                    self.active.push_back(ActiveResponse {
-                        id,
-                        remaining: spec.body_bytes,
-                        priority: spec.priority,
-                    });
-                }
+        while let Some((id, spec, ())) = self.processing.pop_ready(now) {
+            self.conn
+                .write_app(spec.header_bytes + FRAME_OVERHEAD, response_headers_tag(id));
+            if spec.body_bytes == 0 {
+                // Header-only response: completion rides on a 1-byte
+                // sentinel chunk so the done tag has a final byte.
+                self.conn.write_app(1, response_done_tag(id));
+                self.requests_served += 1;
+            } else {
+                self.active.push_back(ActiveResponse {
+                    id,
+                    remaining: spec.body_bytes,
+                    priority: spec.priority,
+                });
             }
         }
         // 3. Pump interleaved body chunks, keeping the transport fed but
@@ -275,8 +242,7 @@ impl Driveable for TcpServer {
 
     /// The transport's deadline or the earliest response-ready time.
     fn next_timeout(&self) -> Option<SimTime> {
-        let cooking = self.cooking.keys().next().copied();
-        [self.conn.next_timeout(), cooking]
+        [self.conn.next_timeout(), self.processing.next_ready()]
             .into_iter()
             .flatten()
             .min()

@@ -5,7 +5,7 @@
 //! the paper credits H3 with — and, with a session ticket, requests leave
 //! at 0-RTT.
 
-use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::collections::VecDeque;
 use std::sync::Arc;
 
 use h3cdn_sim_core::{SimDuration, SimTime};
@@ -14,9 +14,10 @@ use h3cdn_transport::quic::{QuicConfig, QuicConnection, QuicEvent};
 use h3cdn_transport::tls::Ticket;
 use h3cdn_transport::{ConnId, WirePacket};
 
+use crate::server::Processing;
 use crate::types::{
-    decode_tag, request_tag, response_done_tag, response_headers_tag, Catalog, HttpEvent,
-    RequestMeta, TagKind, FRAME_OVERHEAD,
+    decode_tag, request_tag, response_done_tag, response_event, response_headers_tag, Catalog,
+    HttpEvent, RequestMeta, TagKind, FRAME_OVERHEAD,
 };
 
 /// An HTTP/3 client connection: one QUIC stream per request.
@@ -72,36 +73,18 @@ impl H3Client {
 
     fn translate(&mut self) {
         while let Some(ev) = self.conn.poll_event() {
-            match ev {
-                QuicEvent::HandshakeComplete { at } => {
-                    self.events.push_back(HttpEvent::Connected { at });
-                }
-                QuicEvent::TicketIssued { at } => {
-                    self.events.push_back(HttpEvent::TicketIssued { at });
-                }
-                QuicEvent::StreamOpened { .. } => {}
-                QuicEvent::ZeroRttRejected { .. } => {
-                    // Transparent downgrade: timings already reflect it
-                    // via the re-stamped send-readiness.
-                }
+            let ev = match ev {
+                QuicEvent::HandshakeComplete { at } => Some(HttpEvent::Connected { at }),
+                QuicEvent::TicketIssued { at } => Some(HttpEvent::TicketIssued { at }),
+                // Transparent downgrade: timings already reflect it via
+                // the re-stamped send-readiness.
+                QuicEvent::ZeroRttRejected { .. } => None,
                 QuicEvent::Closed { at, reason } => {
-                    self.events
-                        .push_back(HttpEvent::ConnectionClosed { at, reason });
+                    Some(HttpEvent::ConnectionClosed { at, reason })
                 }
-                QuicEvent::Delivered { tag, at, .. } => match decode_tag(tag) {
-                    TagKind::ResponseHeaders(id) => {
-                        self.events.push_back(HttpEvent::ResponseHeaders { id, at });
-                    }
-                    TagKind::ResponseDone(id) => {
-                        self.events
-                            .push_back(HttpEvent::ResponseComplete { id, at });
-                    }
-                    TagKind::ResponseChunk(_) => {}
-                    TagKind::Request(id) => {
-                        debug_assert!(false, "request {id} echoed to client");
-                    }
-                },
-            }
+                QuicEvent::Delivered { tag, at, .. } => response_event(tag, at),
+            };
+            self.events.extend(ev);
         }
     }
 }
@@ -141,14 +124,10 @@ impl Driveable for H3Client {
 #[derive(Debug)]
 pub struct QuicServer {
     conn: QuicConnection,
-    catalog: Arc<Catalog>,
-    /// Extra processing added to every response — the H3 compute
-    /// surcharge behind the paper's negative wait-reduction median.
-    extra_processing: SimDuration,
-    /// Request id → stream the response must use.
-    request_streams: HashMap<u64, u64>,
-    /// Requests whose processing completes at the keyed time.
-    cooking: BTreeMap<SimTime, Vec<u64>>,
+    /// Requests in processing, with the stream each response must use.
+    /// Its surcharge is the H3 compute cost behind the paper's negative
+    /// wait-reduction median.
+    processing: Processing<u64>,
     requests_served: u64,
 }
 
@@ -162,10 +141,7 @@ impl QuicServer {
     ) -> Self {
         QuicServer {
             conn: QuicConnection::server(id, quic),
-            catalog,
-            extra_processing,
-            request_streams: HashMap::new(),
-            cooking: BTreeMap::new(),
+            processing: Processing::new(catalog, extra_processing),
             requests_served: 0,
         }
     }
@@ -173,11 +149,6 @@ impl QuicServer {
     /// Requests fully answered so far.
     pub fn requests_served(&self) -> u64 {
         self.requests_served
-    }
-
-    /// Whether the client resumed (0-RTT-capable) on this connection.
-    pub fn was_resumed(&self) -> bool {
-        self.conn.was_resumed()
     }
 
     /// Whether the underlying transport has closed (lets an edge return
@@ -190,33 +161,22 @@ impl QuicServer {
         while let Some(ev) = self.conn.poll_event() {
             if let QuicEvent::Delivered { stream, tag, at } = ev {
                 if let TagKind::Request(id) = decode_tag(tag) {
-                    let spec = self
-                        .catalog
-                        .get(id)
-                        .unwrap_or_else(|| panic!("request {id} not in catalog"));
-                    self.request_streams.insert(id, stream);
-                    let ready = at + spec.processing + self.extra_processing;
-                    self.cooking.entry(ready).or_default().push(id);
+                    self.processing.admit(id, at, stream);
                 }
             }
         }
-        let ready: Vec<SimTime> = self.cooking.range(..=now).map(|(&t, _)| t).collect();
-        for t in ready {
-            for id in self.cooking.remove(&t).expect("cooked batch") {
-                let spec = self.catalog.get(id).expect("catalog checked at ingest");
-                let stream = self.request_streams[&id];
-                self.conn.set_stream_priority(stream, spec.priority);
-                self.conn.write_stream(
-                    stream,
-                    spec.header_bytes + FRAME_OVERHEAD,
-                    response_headers_tag(id),
-                );
-                // QUIC round-robins frames across streams, so the whole
-                // body can be queued at once; completion is the final byte.
-                self.conn
-                    .write_stream(stream, spec.body_bytes.max(1), response_done_tag(id));
-                self.requests_served += 1;
-            }
+        while let Some((id, spec, stream)) = self.processing.pop_ready(now) {
+            self.conn.set_stream_priority(stream, spec.priority);
+            self.conn.write_stream(
+                stream,
+                spec.header_bytes + FRAME_OVERHEAD,
+                response_headers_tag(id),
+            );
+            // QUIC round-robins frames across streams, so the whole body
+            // can be queued at once; completion is the final byte.
+            self.conn
+                .write_stream(stream, spec.body_bytes.max(1), response_done_tag(id));
+            self.requests_served += 1;
         }
     }
 }
@@ -239,8 +199,7 @@ impl Driveable for QuicServer {
 
     /// The transport's deadline or the earliest response-ready time.
     fn next_timeout(&self) -> Option<SimTime> {
-        let cooking = self.cooking.keys().next().copied();
-        [self.conn.next_timeout(), cooking]
+        [self.conn.next_timeout(), self.processing.next_ready()]
             .into_iter()
             .flatten()
             .min()
@@ -266,8 +225,9 @@ mod tests {
     use crate::types::ResponseSpec;
     use h3cdn_netsim::NodeId;
     use h3cdn_transport::duplex::Duplex;
+    use h3cdn_transport::handshake::TlsVersion;
     use h3cdn_transport::tcp::TcpConfig;
-    use h3cdn_transport::tls::{TlsConfig, TlsVersion};
+    use h3cdn_transport::tls::TlsConfig;
 
     const RTT_MS: u64 = 40;
     /// Round-trip times and response sizes the handshake savings are
@@ -322,7 +282,7 @@ mod tests {
         });
         pipe.a.connect(SimTime::ZERO);
         pipe.run(200_000);
-        assert_eq!(pipe.a.quic().used_early_data(), resume);
+        assert_eq!(pipe.a.quic().handshake().used_early_data(), resume);
         complete_at(&events(&mut pipe.a), 1).expect("complete")
     }
 

@@ -1,11 +1,67 @@
-//! Protocol-erased server connection.
+//! Protocol-erased server connection, and the request processing both
+//! servers share.
 
-use h3cdn_sim_core::SimTime;
+use std::collections::BTreeMap;
+use std::sync::Arc;
+
+use h3cdn_sim_core::{SimDuration, SimTime};
 use h3cdn_transport::duplex::Driveable;
 use h3cdn_transport::{ConnId, WirePacket};
 
 use crate::h2::TcpServer;
 use crate::h3::QuicServer;
+use crate::types::{Catalog, ResponseSpec};
+
+/// Requests a server is processing. Each is ready at its arrival plus
+/// its catalog processing time plus the server's surcharge; requests
+/// leave in (ready time, arrival) order. `T` is what the server needs
+/// to answer one (the QUIC server's stream).
+#[derive(Debug)]
+pub(crate) struct Processing<T> {
+    catalog: Arc<Catalog>,
+    /// Extra processing added to every response (e.g. protocol surcharge).
+    extra: SimDuration,
+    /// Requests in processing, keyed by (ready time, arrival number).
+    queue: BTreeMap<(SimTime, u64), (u64, ResponseSpec, T)>,
+    arrivals: u64,
+}
+
+impl<T> Processing<T> {
+    pub(crate) fn new(catalog: Arc<Catalog>, extra: SimDuration) -> Self {
+        Processing {
+            catalog,
+            extra,
+            queue: BTreeMap::new(),
+            arrivals: 0,
+        }
+    }
+
+    /// Starts processing request `id`, delivered at `at`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `id` is not in the catalog.
+    pub(crate) fn admit(&mut self, id: u64, at: SimTime, with: T) {
+        let spec = self
+            .catalog
+            .get(id)
+            .unwrap_or_else(|| panic!("request {id} not in catalog"));
+        let ready = at + spec.processing + self.extra;
+        self.queue.insert((ready, self.arrivals), (id, spec, with));
+        self.arrivals += 1;
+    }
+
+    /// The next request ready by `now`, with its response.
+    pub(crate) fn pop_ready(&mut self, now: SimTime) -> Option<(u64, ResponseSpec, T)> {
+        let next = self.queue.first_entry()?;
+        (next.key().0 <= now).then(|| next.remove())
+    }
+
+    /// When the next request becomes ready.
+    pub(crate) fn next_ready(&self) -> Option<SimTime> {
+        self.queue.first_key_value().map(|(&(ready, _), _)| ready)
+    }
+}
 
 /// A server-side connection of either transport, driven through
 /// [`Driveable`] by the server node.
@@ -81,8 +137,8 @@ pub fn accept(
     conn_id: ConnId,
     tcp_config: &h3cdn_transport::tcp::TcpConfig,
     quic_config: &h3cdn_transport::quic::QuicConfig,
-    catalog: std::sync::Arc<crate::types::Catalog>,
-    extra_processing: h3cdn_sim_core::SimDuration,
+    catalog: Arc<Catalog>,
+    extra_processing: SimDuration,
 ) -> ServerConn {
     match pkt {
         WirePacket::Tcp(_) => ServerConn::Tcp(TcpServer::new(
@@ -103,9 +159,7 @@ pub fn accept(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::types::Catalog;
     use h3cdn_netsim::NodeId;
-    use h3cdn_sim_core::SimDuration;
     use h3cdn_transport::quic::{QuicConfig, QuicPacket};
     use h3cdn_transport::tcp::{TcpConfig, TcpSegment};
 

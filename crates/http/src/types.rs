@@ -195,6 +195,20 @@ pub(crate) fn decode_tag(tag: MsgTag) -> TagKind {
     }
 }
 
+/// The client-side event a delivered response tag stands for: headers
+/// or completion; an intermediate body chunk is progress only.
+pub(crate) fn response_event(tag: MsgTag, at: SimTime) -> Option<HttpEvent> {
+    match decode_tag(tag) {
+        TagKind::ResponseHeaders(id) => Some(HttpEvent::ResponseHeaders { id, at }),
+        TagKind::ResponseDone(id) => Some(HttpEvent::ResponseComplete { id, at }),
+        TagKind::ResponseChunk(_) => None,
+        TagKind::Request(id) => {
+            debug_assert!(false, "request {id} echoed to client");
+            None
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

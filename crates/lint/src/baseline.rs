@@ -7,7 +7,9 @@
 //! * `expect` — `.expect(` calls,
 //! * `panic` — `panic!` / `unreachable!` / `todo!` / `unimplemented!`,
 //! * `index` — `expr[...]`-style indexing (which can panic on
-//!   out-of-bounds / missing keys).
+//!   out-of-bounds / missing keys),
+//! * `assert` — `assert!` / `assert_eq!` / `assert_ne!` (release builds
+//!   keep them; `debug_assert*` is not counted).
 //!
 //! The checked-in `crates/lint/baseline.json` records the allowed
 //! counts. The ratchet direction is one-way: a fresh count above the
@@ -33,12 +35,14 @@ pub struct Counts {
     pub panic: usize,
     /// `expr[...]` indexing expressions.
     pub index: usize,
+    /// `assert!`-family macro invocations (not `debug_assert*`).
+    pub assert: usize,
 }
 
 impl Counts {
     /// Sum over all categories.
     pub fn total(&self) -> usize {
-        self.unwrap + self.expect + self.panic + self.index
+        self.unwrap + self.expect + self.panic + self.index + self.assert
     }
 }
 
@@ -57,6 +61,7 @@ pub(crate) const CATEGORIES: &[(&str, CountGetter)] = &[
     ("expect", |c| c.expect),
     ("panic", |c| c.panic),
     ("index", |c| c.index),
+    ("assert", |c| c.assert),
 ];
 
 /// All counted sites, so over-baseline findings can name a real
@@ -80,6 +85,7 @@ impl SiteMap {
                     expect: get("expect"),
                     panic: get("panic"),
                     index: get("index"),
+                    assert: get("assert"),
                 },
             );
         }
@@ -107,8 +113,8 @@ pub(crate) fn count_file(ctx: &FileContext, sites: &mut SiteMap) {
     }
 }
 
-/// The call and macro needles of the first three categories, as
-/// `(category, needle)`.
+/// The call and macro needles of the `unwrap`, `expect` and `panic`
+/// categories, as `(category, needle)`.
 const NEEDLES: &[(&str, &str)] = &[
     ("unwrap", ".unwrap()"),
     ("expect", ".expect("),
@@ -118,10 +124,14 @@ const NEEDLES: &[(&str, &str)] = &[
     ("panic", "unimplemented!"),
 ];
 
+/// The `assert` category's macros, matched as whole words so that
+/// `debug_assert!` and its kin are not counted.
+const ASSERTS: &[&str] = &["assert!", "assert_eq!", "assert_ne!"];
+
 /// Reports every panic-capable site on one stripped line to `site` as
 /// `(category, needle)`, needle by needle in [`NEEDLES`] order, then
-/// indexing. The one classifier behind both the per-crate ratchet and
-/// the hot-path reachability budget.
+/// indexing, then asserts. The one classifier behind both the per-crate
+/// ratchet and the hot-path reachability budget.
 pub(crate) fn classify_line(line: &str, mut site: impl FnMut(&'static str, &'static str)) {
     for &(category, needle) in NEEDLES {
         for _ in line.matches(needle) {
@@ -130,6 +140,13 @@ pub(crate) fn classify_line(line: &str, mut site: impl FnMut(&'static str, &'sta
     }
     for _ in 0..count_indexing(line) {
         site("index", "[..] indexing");
+    }
+    for &needle in ASSERTS {
+        for (pos, _) in line.match_indices(needle) {
+            if !line[..pos].ends_with(|c: char| c.is_alphanumeric() || c == '_') {
+                site("assert", needle);
+            }
+        }
     }
 }
 
@@ -232,8 +249,9 @@ pub fn render(base: &Baseline) -> String {
     let mut out = String::from("{\n");
     for (i, (krate, c)) in base.iter().enumerate() {
         out.push_str(&format!(
-            "  \"{krate}\": {{ \"unwrap\": {}, \"expect\": {}, \"panic\": {}, \"index\": {} }}",
-            c.unwrap, c.expect, c.panic, c.index
+            "  \"{krate}\": {{ \"unwrap\": {}, \"expect\": {}, \"panic\": {}, \"index\": {}, \
+             \"assert\": {} }}",
+            c.unwrap, c.expect, c.panic, c.index, c.assert
         ));
         out.push_str(if i + 1 < base.len() { ",\n" } else { "\n" });
     }
@@ -280,6 +298,7 @@ fn parse(text: &str) -> Result<Baseline, String> {
                 "expect" => counts.expect = value,
                 "panic" => counts.panic = value,
                 "index" => counts.index = value,
+                "assert" => counts.assert = value,
                 other => return Err(format!("unknown category {other:?}")),
             }
             if !p.comma_or_close('}')? {

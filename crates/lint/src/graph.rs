@@ -16,7 +16,8 @@
 //!   `Engine::run_until_checked`, `EventQueue::pop*`, and the
 //!   `Driveable` methods of the TCP, TLS and QUIC endpoints)
 //!   to any panic-capable site
-//!   (`unwrap` / `expect` / `panic!`-family / `[idx]` indexing) inside
+//!   (`unwrap` / `expect` / `panic!`-family / `[idx]` indexing /
+//!   `assert!`-family) inside
 //!   the hot-path crates ([`HOT_PATH_CRATES`]). The reachable surface
 //!   is held to a per-category budget recorded under the `"hot-path"`
 //!   key of `crates/lint/baseline.json` (ratchet-down only, like the
@@ -175,6 +176,7 @@ impl HotPathReachability {
                 "unwrap" => c.unwrap += 1,
                 "expect" => c.expect += 1,
                 "panic" => c.panic += 1,
+                "assert" => c.assert += 1,
                 _ => c.index += 1,
             }
         }

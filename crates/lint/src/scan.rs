@@ -318,7 +318,8 @@ fn raw_string_closes(chars: &[char], i: usize, hashes: u32) -> bool {
 }
 
 /// Marks lines inside `#[cfg(test)]` items (test modules or test-only
-/// functions) by brace matching from the item's first `{`.
+/// functions) by brace matching from the item's first `{`. An item
+/// whose `;` comes first (a `const`, `type` or `use`) ends at that `;`.
 fn mark_test_items(stripped: &[String]) -> Vec<bool> {
     let mut marked = vec![false; stripped.len()];
     let mut i = 0;
@@ -327,11 +328,13 @@ fn mark_test_items(stripped: &[String]) -> Vec<bool> {
             i += 1;
             continue;
         }
-        // Skip to the first line with a `{` and brace-match from there.
+        // Brackets and parentheses before the body (attributes, array
+        // types) may hold a `;` that does not end the item.
+        let mut nesting = 0i32;
         let mut depth = 0i32;
         let mut opened = false;
         let mut j = i;
-        while j < stripped.len() {
+        'item: while j < stripped.len() {
             marked[j] = true;
             for c in stripped[j].chars() {
                 match c {
@@ -340,6 +343,9 @@ fn mark_test_items(stripped: &[String]) -> Vec<bool> {
                         opened = true;
                     }
                     '}' => depth -= 1,
+                    '(' | '[' if !opened => nesting += 1,
+                    ')' | ']' if !opened => nesting -= 1,
+                    ';' if !opened && nesting == 0 => break 'item,
                     _ => {}
                 }
             }

@@ -20,6 +20,15 @@ fn three_indexings(v: &[u32], i: usize) -> u32 {
     v[i] + v[0] + v[i + 1]
 }
 
+fn three_asserts(a: u32, b: u32) {
+    assert!(a > 0);
+    assert_eq!(a, b);
+    assert_ne!(a, 7);
+    debug_assert!(b > 0);
+    debug_assert_eq!(a, b);
+    debug_assert_ne!(b, 7);
+}
+
 #[cfg(test)]
 mod tests {
     #[test]

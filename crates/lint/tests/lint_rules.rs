@@ -239,6 +239,40 @@ fn ratchet_counts_exclude_test_modules() {
 }
 
 #[test]
+fn one_line_test_items_end_at_their_semicolon() {
+    let opts = LintOptions {
+        check_rules: false,
+        check_ratchet: false,
+        check_graph: false,
+    };
+    let report = lint_workspace_with(&fixture_root("test_items"), opts).expect("fixture lints");
+    let counts = report.counts.get("cdn").expect("cdn counted");
+    assert_eq!(
+        (
+            counts.unwrap,
+            counts.expect,
+            counts.panic,
+            counts.index,
+            counts.assert
+        ),
+        (0, 0, 0, 2, 0),
+        "the two library indexings count, the test module adds nothing"
+    );
+}
+
+#[test]
+fn asserts_count_but_debug_asserts_do_not() {
+    let opts = LintOptions {
+        check_rules: false,
+        check_ratchet: false,
+        check_graph: false,
+    };
+    let report = lint_workspace_with(&fixture_root("ratchet"), opts).expect("fixture lints");
+    let counts = report.counts.get("netsim").expect("netsim counted");
+    assert_eq!(counts.assert, 3, "assert!, assert_eq! and assert_ne!");
+}
+
+#[test]
 fn stale_baseline_demands_regeneration() {
     let opts = LintOptions {
         check_rules: false,

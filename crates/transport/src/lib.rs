@@ -7,18 +7,23 @@
 //!   delivery. In-order delivery is the load-bearing property: one lost
 //!   segment stalls *every* HTTP/2 stream multiplexed on the connection,
 //!   which is the head-of-line blocking the paper's Fig. 9 quantifies.
-//! * [`tls`] — a TLS session layer whose handshake flights cross the
-//!   simulated network as real messages: 2-RTT TLS 1.2, 1-RTT TLS 1.3,
-//!   and session-ticket resumption.
-//! * [`quic`] — a QUIC connection with the combined 1-RTT handshake,
-//!   0-RTT resumption, independent ordered streams, ACK ranges,
-//!   packet-number loss detection and PTO (RFC 9002's algorithm,
-//!   simplified), and connection-level flow control.
+//! * [`tls`] — a TLS session layer over TCP: it runs the [`handshake`]
+//!   on the TCP byte stream once the 3-way handshake completes, and
+//!   holds application data until the handshake lets it leave.
+//! * [`quic`] — a QUIC connection that runs the same [`handshake`] on
+//!   its CRYPTO stream from `connect` (1-RTT, 0-RTT on resumption),
+//!   with independent ordered streams, ACK ranges, packet-number loss
+//!   detection and PTO (RFC 9002's algorithm, simplified), and
+//!   connection-level flow control.
 //!
-//! Both stacks share the [`cc`] congestion controllers (NewReno, Cubic and
-//! BBR) and the [`rtt`] estimator, so H2-vs-H3 comparisons measure
-//! protocol structure rather than tuning differences — mirroring the
-//! paper's methodology.
+//! [`handshake::Handshake`] is the one TLS state machine: TLS 1.3 full
+//! and PSK with 0-RTT accepted or refused, TLS 1.2 full and
+//! abbreviated, as tagged messages that cross the simulated network,
+//! plus the timing record the HAR reads. Both stacks also share the
+//! [`cc`] congestion controllers (NewReno, Cubic and BBR) and the
+//! [`rtt`] estimator, so H2-vs-H3 comparisons measure protocol
+//! structure rather than tuning differences — mirroring the paper's
+//! methodology.
 //!
 //! All state machines are *sans-IO*: they consume packets and timeouts,
 //! and emit packets and events, with no clock or socket of their own.
@@ -32,6 +37,7 @@
 pub mod cc;
 pub mod conn_id;
 pub mod duplex;
+pub mod handshake;
 pub mod quic;
 pub mod rtt;
 mod seq_ring;

@@ -8,6 +8,7 @@ use h3cdn_sim_core::{SimDuration, SimTime};
 use crate::cc::{CcAlgorithm, CongestionController};
 use crate::conn_id::{ConnId, MsgTag};
 use crate::duplex::Driveable;
+use crate::handshake::{is_handshake_tag, quic_sizes, Action, Handshake, TlsVersion};
 use crate::quic::streams::{RecvStream, SendStream};
 use crate::quic::{Frame, QuicPacket, CRYPTO_STREAM, MAX_PAYLOAD};
 use crate::rtt::RttEstimator;
@@ -68,13 +69,6 @@ pub enum QuicEvent {
         /// Completion time.
         at: SimTime,
     },
-    /// A peer-initiated stream carried its first frame.
-    StreamOpened {
-        /// Stream id.
-        stream: u64,
-        /// Arrival time.
-        at: SimTime,
-    },
     /// An application message was fully delivered in order on its stream.
     Delivered {
         /// Stream id.
@@ -102,42 +96,6 @@ pub enum QuicEvent {
         /// Why it closed.
         reason: CloseReason,
     },
-}
-
-// Handshake messages are tagged messages on the crypto stream.
-const Q_TAG_BASE: u64 = 1 << 62;
-const TAG_CI_FULL: MsgTag = MsgTag(Q_TAG_BASE + 101);
-const TAG_CI_PSK: MsgTag = MsgTag(Q_TAG_BASE + 102);
-const TAG_SF_FULL: MsgTag = MsgTag(Q_TAG_BASE + 103);
-const TAG_SF_PSK: MsgTag = MsgTag(Q_TAG_BASE + 104);
-const TAG_CFIN: MsgTag = MsgTag(Q_TAG_BASE + 105);
-const TAG_NST: MsgTag = MsgTag(Q_TAG_BASE + 106);
-/// Server flight under PSK with the 0-RTT offer *rejected* (same wire
-/// size as the accepting flight — the difference is semantic).
-const TAG_SF_PSK_REJ: MsgTag = MsgTag(Q_TAG_BASE + 107);
-
-/// Handshake message sizes in bytes.
-mod hs_sizes {
-    /// Full ClientInitial (padded).
-    pub(crate) const CI_FULL: u64 = 1150;
-    /// PSK ClientInitial, leaving room for 0-RTT data in the datagram.
-    pub(crate) const CI_PSK: u64 = 650;
-    /// Server flight with certificate chain.
-    pub(crate) const SF_FULL: u64 = 4500;
-    /// Server flight under PSK.
-    pub(crate) const SF_PSK: u64 = 400;
-    /// Client Finished.
-    pub(crate) const CFIN: u64 = 80;
-    /// NewSessionTicket.
-    pub(crate) const NST: u64 = 230;
-}
-
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum HsState {
-    Idle,
-    AwaitServerFlight,
-    AwaitClientFinish,
-    Ready,
 }
 
 #[derive(Debug, Clone)]
@@ -168,15 +126,7 @@ pub struct QuicConnection {
     is_client: bool,
     config: QuicConfig,
 
-    hs_state: HsState,
-    resumed: bool,
-    early_data_enabled: bool,
-    used_early_data: bool,
-    ready_to_send: bool,
-    handshake_complete_at: Option<SimTime>,
-    send_ready_at: Option<SimTime>,
-    connect_started_at: Option<SimTime>,
-    nst_sent: bool,
+    hs: Handshake,
 
     /// Set once the connection closed itself; afterwards it is inert.
     closed: Option<(SimTime, CloseReason)>,
@@ -187,10 +137,11 @@ pub struct QuicConnection {
     idle_anchor: Option<SimTime>,
     /// Whether an ack-eliciting packet left since the last receipt.
     sent_since_rx: bool,
-    /// Server with `accept_early_data = false`: application events fired
-    /// by 0-RTT data, held back and re-stamped to the handshake
-    /// completion instant — the 1-RTT penalty of a rejected 0-RTT offer.
-    deferred_events: Vec<QuicEvent>,
+    /// Server with `accept_early_data = false`: application messages
+    /// delivered by 0-RTT data, as `(stream, tag)`, held back and
+    /// released at handshake completion — the 1-RTT penalty of a
+    /// rejected 0-RTT offer.
+    deferred: Vec<(u64, MsgTag)>,
 
     cc: Box<dyn CongestionController>,
     rtt: RttEstimator,
@@ -264,22 +215,17 @@ impl QuicConnection {
         ticket: Option<Ticket>,
         early_data: bool,
     ) -> Self {
-        let resumed = ticket.is_some();
-        Self::new(id, true, config, resumed, early_data && resumed)
+        let hs = Handshake::client(quic_sizes, TlsVersion::Tls13, ticket.is_some(), early_data);
+        Self::new(id, true, config, hs)
     }
 
     /// Creates the server side.
     pub fn server(id: ConnId, config: QuicConfig) -> Self {
-        Self::new(id, false, config, false, false)
+        let hs = Handshake::server(quic_sizes, config.accept_early_data);
+        Self::new(id, false, config, hs)
     }
 
-    fn new(
-        id: ConnId,
-        is_client: bool,
-        config: QuicConfig,
-        resumed: bool,
-        early_data: bool,
-    ) -> Self {
+    fn new(id: ConnId, is_client: bool, config: QuicConfig, hs: Handshake) -> Self {
         let cc = config.cc.build();
         let rtt = RttEstimator::new(config.initial_rtt);
         let max_data = config.max_data;
@@ -287,20 +233,12 @@ impl QuicConnection {
             id,
             is_client,
             config,
-            hs_state: HsState::Idle,
-            resumed,
-            early_data_enabled: early_data,
-            used_early_data: false,
-            ready_to_send: false,
-            handshake_complete_at: None,
-            send_ready_at: None,
-            connect_started_at: None,
-            nst_sent: false,
+            hs,
             closed: None,
             first_activity: None,
             idle_anchor: None,
             sent_since_rx: false,
-            deferred_events: Vec::new(),
+            deferred: Vec::new(),
             cc,
             rtt,
             next_pn: 0,
@@ -348,36 +286,14 @@ impl QuicConnection {
         self.is_client
     }
 
-    /// Whether the handshake is complete on this side.
-    pub fn is_handshake_complete(&self) -> bool {
-        self.handshake_complete_at.is_some()
+    /// The handshake and its timing record.
+    pub fn handshake(&self) -> &Handshake {
+        &self.hs
     }
 
     /// When the handshake completed, if it has.
     pub fn handshake_complete_at(&self) -> Option<SimTime> {
-        self.handshake_complete_at
-    }
-
-    /// When stream data could first leave this side: the `connect` call
-    /// itself under 0-RTT, otherwise handshake completion. This is the
-    /// HAR `connect` endpoint.
-    pub fn send_ready_at(&self) -> Option<SimTime> {
-        self.send_ready_at
-    }
-
-    /// When `connect` was called (client side).
-    pub fn connect_started_at(&self) -> Option<SimTime> {
-        self.connect_started_at
-    }
-
-    /// Whether this connection resumed with a PSK.
-    pub fn was_resumed(&self) -> bool {
-        self.resumed
-    }
-
-    /// Whether stream data was sent at 0-RTT.
-    pub fn used_early_data(&self) -> bool {
-        self.used_early_data
+        self.hs.handshake_complete_at()
     }
 
     /// Whether the connection closed itself (handshake or idle timeout).
@@ -423,21 +339,9 @@ impl QuicConnection {
     ///
     /// Panics if called on a server endpoint or twice.
     pub fn connect(&mut self, now: SimTime) {
-        assert!(self.is_client, "connect() is client-side only");
-        assert_eq!(self.hs_state, HsState::Idle, "connect() called twice");
-        self.connect_started_at = Some(now);
-        let (tag, len) = if self.resumed {
-            (TAG_CI_PSK, hs_sizes::CI_PSK)
-        } else {
-            (TAG_CI_FULL, hs_sizes::CI_FULL)
-        };
+        self.hs.connect(now);
+        let (len, tag) = self.hs.client_hello(now, !self.active_streams.is_empty());
         self.crypto_write(len, tag);
-        self.hs_state = HsState::AwaitServerFlight;
-        if self.early_data_enabled {
-            self.ready_to_send = true;
-            self.send_ready_at = Some(now);
-            self.used_early_data = !self.active_streams.is_empty();
-        }
     }
 
     /// Opens a new client-initiated bidirectional stream.
@@ -461,10 +365,7 @@ impl QuicConnection {
         self.send_streams.entry(stream).or_default().write(len, tag);
         self.index_stream(stream);
         debug_assert!(self.active_index_is_exact(), "stale active-stream index");
-        if self.is_client && self.early_data_enabled && self.hs_state == HsState::AwaitServerFlight
-        {
-            self.used_early_data = true;
-        }
+        self.hs.on_app_write();
     }
 
     /// Pops the next pending event.
@@ -495,7 +396,7 @@ impl Driveable for QuicConnection {
             // creates or follows a gap — that is the peer's loss signal.
             if gap
                 || self.ack_eliciting_since_ack >= self.config.ack_eliciting_threshold
-                || !self.is_handshake_complete()
+                || self.hs.handshake_complete_at().is_none()
             {
                 self.ack_pending = true;
                 self.ack_timer = None;
@@ -613,7 +514,7 @@ impl Driveable for QuicConnection {
             }
         }
 
-        if self.ready_to_send {
+        if self.hs.can_send() {
             let fc_room = self.peer_max_data.saturating_sub(self.data_sent);
             let mut app_room = data_room.min(fc_room);
             // Strict priority across classes, round-robin within the
@@ -806,10 +707,10 @@ impl QuicConnection {
     /// Deadline for an incomplete handshake: client-side from `connect`,
     /// server-side from the first received packet.
     fn handshake_deadline(&self) -> Option<SimTime> {
-        if self.handshake_complete_at.is_some() {
+        if self.hs.handshake_complete_at().is_some() {
             return None;
         }
-        let start = self.connect_started_at.or(self.first_activity)?;
+        let start = self.hs.connect_started_at().or(self.first_activity)?;
         Some(start + self.config.handshake_timeout)
     }
 
@@ -850,13 +751,6 @@ impl QuicConnection {
         markers: &[(u64, MsgTag)],
         now: SimTime,
     ) {
-        let is_new = !self.recv_streams.contains_key(&id);
-        if is_new && id != CRYPTO_STREAM {
-            self.push_app_event(QuicEvent::StreamOpened {
-                stream: id,
-                at: now,
-            });
-        }
         let stream = self.recv_streams.entry(id).or_default();
         let before = stream.delivered_bytes();
         let fired = stream.on_frame(offset, len, markers, now);
@@ -880,10 +774,17 @@ impl QuicConnection {
             }
         }
         for (tag, at) in fired {
-            if tag.0 >= Q_TAG_BASE {
+            if is_handshake_tag(tag) {
                 self.on_crypto_message(tag, at);
+            } else if !self.is_client
+                && !self.config.accept_early_data
+                && self.hs.handshake_complete_at().is_none()
+            {
+                // Refused early data is undecryptable in reality, so it
+                // must not surface before the 1-RTT keys exist.
+                self.deferred.push((id, tag));
             } else {
-                self.push_app_event(QuicEvent::Delivered {
+                self.events.push_back(QuicEvent::Delivered {
                     stream: id,
                     tag,
                     at,
@@ -892,95 +793,23 @@ impl QuicConnection {
         }
     }
 
-    /// Queues an application-level event, or defers it when this is a
-    /// server that rejects 0-RTT and the handshake has not completed:
-    /// rejected early data is undecryptable in reality, so its effects
-    /// must not surface before the 1-RTT keys exist. Deferred events are
-    /// re-stamped and released by [`Self::complete_handshake`].
-    fn push_app_event(&mut self, ev: QuicEvent) {
-        if !self.is_client && !self.config.accept_early_data && self.handshake_complete_at.is_none()
-        {
-            self.deferred_events.push(ev);
-        } else {
-            self.events.push_back(ev);
-        }
-    }
-
     fn on_crypto_message(&mut self, tag: MsgTag, at: SimTime) {
-        match tag {
-            TAG_CI_FULL if !self.is_client => {
-                self.crypto_write(hs_sizes::SF_FULL, TAG_SF_FULL);
-                self.ready_to_send = true;
-                self.hs_state = HsState::AwaitClientFinish;
-            }
-            TAG_CI_PSK if !self.is_client => {
-                self.resumed = true;
-                let tag = if self.config.accept_early_data {
-                    TAG_SF_PSK
-                } else {
-                    TAG_SF_PSK_REJ
-                };
-                self.crypto_write(hs_sizes::SF_PSK, tag);
-                self.ready_to_send = true;
-                self.hs_state = HsState::AwaitClientFinish;
-            }
-            TAG_SF_FULL | TAG_SF_PSK if self.is_client => {
-                self.crypto_write(hs_sizes::CFIN, TAG_CFIN);
-                self.complete_handshake(at);
-            }
-            TAG_SF_PSK_REJ if self.is_client => {
-                // 0-RTT rejected: downgrade to 1-RTT instead of erroring.
-                // Anything sent early counts as never sent; send-readiness
-                // re-stamps to handshake completion (the HAR `connect`
-                // endpoint moves a full RTT later).
-                if self.used_early_data {
+        for action in self.hs.on_message(tag, at) {
+            match action {
+                Action::Send(len, tag) => self.crypto_write(len, tag),
+                Action::EarlyDataRefused => {
                     self.events.push_back(QuicEvent::ZeroRttRejected { at });
                 }
-                self.used_early_data = false;
-                self.send_ready_at = None;
-                self.crypto_write(hs_sizes::CFIN, TAG_CFIN);
-                self.complete_handshake(at);
-            }
-            TAG_CFIN if !self.is_client => {
-                self.complete_handshake(at);
-                if !self.nst_sent {
-                    self.nst_sent = true;
-                    self.crypto_write(hs_sizes::NST, TAG_NST);
-                }
-            }
-            TAG_NST if self.is_client => {
-                self.events.push_back(QuicEvent::TicketIssued { at });
-            }
-            other => {
-                debug_assert!(
-                    false,
-                    "unexpected crypto message {other} (client={})",
-                    self.is_client
-                );
-            }
-        }
-    }
-
-    fn complete_handshake(&mut self, at: SimTime) {
-        if self.handshake_complete_at.is_none() {
-            self.handshake_complete_at = Some(at);
-            if self.send_ready_at.is_none() {
-                self.send_ready_at = Some(at);
-            }
-            self.hs_state = HsState::Ready;
-            self.ready_to_send = true;
-            self.events.push_back(QuicEvent::HandshakeComplete { at });
-            // Release events deferred by a rejected 0-RTT offer,
-            // re-stamped to now: the data only became readable with the
-            // 1-RTT keys.
-            for mut ev in std::mem::take(&mut self.deferred_events) {
-                match &mut ev {
-                    QuicEvent::StreamOpened { at: t, .. } | QuicEvent::Delivered { at: t, .. } => {
-                        *t = at;
+                Action::Complete => {
+                    self.events.push_back(QuicEvent::HandshakeComplete { at });
+                    // Release what a refused 0-RTT offer delivered,
+                    // stamped now: it became readable with the 1-RTT keys.
+                    for (stream, tag) in std::mem::take(&mut self.deferred) {
+                        self.events
+                            .push_back(QuicEvent::Delivered { stream, tag, at });
                     }
-                    _ => {}
                 }
-                self.events.push_back(ev);
+                Action::TicketReceived => self.events.push_back(QuicEvent::TicketIssued { at }),
             }
         }
     }
@@ -1294,14 +1123,14 @@ mod tests {
         pipe.a.write_stream(stream, 400, MsgTag(1));
         pipe.a.connect(SimTime::ZERO);
         pipe.run(200_000);
-        assert!(pipe.a.used_early_data());
+        assert!(pipe.a.handshake().used_early_data());
         let sev = drain(&mut pipe.b);
         assert_eq!(
             delivery_time(&sev, MsgTag(1)),
             Some(ms(RTT_MS / 2)),
             "0-RTT data rides with the ClientInitial"
         );
-        assert!(pipe.b.was_resumed());
+        assert!(pipe.b.handshake().was_resumed());
     }
 
     #[test]
@@ -1312,9 +1141,11 @@ mod tests {
         pipe.a.connect(SimTime::ZERO);
         pipe.run(200_000);
         let sev = drain(&mut pipe.b);
-        assert!(sev
-            .iter()
-            .any(|e| matches!(e, QuicEvent::StreamOpened { stream: s, .. } if *s == stream)));
+        let request_stream = sev.iter().find_map(|e| match e {
+            QuicEvent::Delivered { stream, .. } => Some(*stream),
+            _ => None,
+        });
+        assert_eq!(request_stream, Some(stream));
         pipe.b.write_stream(stream, 20_000, MsgTag(2));
         pipe.run(200_000);
         let cev = drain(&mut pipe.a);
@@ -1386,7 +1217,10 @@ mod tests {
         let mut pipe = make_pair(None, false).drop_b_to_a(vec![0, 1, 2, 3]);
         pipe.a.connect(SimTime::ZERO);
         pipe.run(1_000_000);
-        assert!(pipe.a.is_handshake_complete(), "handshake recovered");
+        assert!(
+            pipe.a.handshake_complete_at().is_some(),
+            "handshake recovered"
+        );
         assert!(
             pipe.a.handshake_complete_at().unwrap() > ms(3 * RTT_MS),
             "recovery must have cost extra time"
@@ -1534,7 +1368,7 @@ mod tests {
         // Runs to full quiescence: the transfer ends, then both sides
         // sit idle until the RFC 9000 idle timer closes them.
         pipe.run_to_close(400_000);
-        assert!(pipe.a.is_handshake_complete());
+        assert!(pipe.a.handshake_complete_at().is_some());
         assert_eq!(pipe.a.close_reason(), Some(crate::CloseReason::IdleTimeout));
         assert_eq!(pipe.b.close_reason(), Some(crate::CloseReason::IdleTimeout));
         let ev = drain(&mut pipe.a);
@@ -1565,7 +1399,10 @@ mod tests {
         pipe.a.write_stream(s, 400, MsgTag(1));
         pipe.a.connect(SimTime::ZERO);
         pipe.run_to_close(400_000);
-        assert!(pipe.a.is_handshake_complete(), "handshake precedes outage");
+        assert!(
+            pipe.a.handshake_complete_at().is_some(),
+            "handshake precedes outage"
+        );
         assert_eq!(pipe.a.close_reason(), Some(crate::CloseReason::IdleTimeout));
         assert!(
             pipe.a.retransmit_count() > 0,
@@ -1607,10 +1444,13 @@ mod tests {
         pipe.a.connect(SimTime::ZERO);
         pipe.run(400_000);
         // The connection survives — a downgrade, not an error.
-        assert!(pipe.a.is_handshake_complete());
-        assert!(!pipe.a.used_early_data(), "0-RTT credit revoked");
+        assert!(pipe.a.handshake_complete_at().is_some());
+        assert!(
+            !pipe.a.handshake().used_early_data(),
+            "0-RTT credit revoked"
+        );
         assert_eq!(
-            pipe.a.send_ready_at(),
+            pipe.a.handshake().send_ready_at(),
             Some(ms(RTT_MS)),
             "send-readiness re-stamps to the 1-RTT handshake completion"
         );
@@ -1626,7 +1466,10 @@ mod tests {
             Some(ms(3 * RTT_MS / 2)),
             "early request surfaces only once the 1-RTT keys exist"
         );
-        assert!(pipe.b.was_resumed(), "PSK still resumed the session");
+        assert!(
+            pipe.b.handshake().was_resumed(),
+            "PSK still resumed the session"
+        );
     }
 
     #[test]

@@ -7,7 +7,8 @@
 //!
 //! * **Combined transport+TLS handshake**: ClientInitial → server flight →
 //!   client Finished, with the first application byte leaving at 1 RTT —
-//!   versus 2–3 RTT for TCP+TLS. Handshake messages travel on a reliable
+//!   versus 2–3 RTT for TCP+TLS. The messages of the shared
+//!   [`Handshake`](crate::handshake::Handshake) travel on a reliable
 //!   *crypto stream* using the same delivery machinery as data.
 //! * **0-RTT resumption**: with a stored ticket, stream data departs with
 //!   the ClientInitial. This is the mechanism behind the consecutive-visit

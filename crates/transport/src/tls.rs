@@ -1,13 +1,11 @@
 //! TLS session layer over the simulated TCP stream.
 //!
-//! Handshake flights are written through [`TcpConnection`] as tagged
-//! messages with realistic sizes, so their latency cost — the RTT counts
-//! the paper attributes H2's slower connection setup to — emerges from
-//! transmission rather than arithmetic:
+//! [`SecureTcp`] runs the one [`Handshake`] on the TCP byte stream once
+//! the 3-way handshake completes, so every flow costs one TCP round
+//! trip more than the same flow over QUIC:
 //!
-//! * **TLS 1.3 full**: ClientHello → server flight → client Finished.
-//!   First app byte leaves 1 TLS RTT after the TCP handshake (2 RTT
-//!   total).
+//! * **TLS 1.3 full**: first app byte leaves 1 TLS RTT after the TCP
+//!   handshake (2 RTT total).
 //! * **TLS 1.2 full**: two TLS round trips (3 RTT total) — the
 //!   `H2 + TLS/1.2` suite the paper contrasts H3 against.
 //! * **TLS 1.2 abbreviated** (session resumption): one TLS round trip.
@@ -28,60 +26,12 @@ use h3cdn_sim_core::{SimDuration, SimTime};
 
 use crate::conn_id::{ConnId, MsgTag};
 use crate::duplex::Driveable;
+use crate::handshake::{is_handshake_tag, tcp_sizes, Action, Handshake, TlsVersion};
 use crate::tcp::{TcpConfig, TcpConnection, TcpEvent, TcpSegment};
 use crate::CloseReason;
 
-/// TLS protocol version negotiated for a TCP connection.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum TlsVersion {
-    /// TLS 1.2: 2-RTT full handshake, 1-RTT abbreviated.
-    Tls12,
-    /// TLS 1.3: 1-RTT full handshake, 0-RTT with PSK + early data.
-    Tls13,
-}
-
 /// Per-message TLS record overhead (5-byte header + AEAD tag + padding).
 pub(crate) const RECORD_OVERHEAD: u64 = 29;
-
-/// Handshake message sizes in bytes, calibrated to typical production
-/// certificate chains.
-pub mod sizes {
-    /// Full ClientHello.
-    pub(crate) const CH_FULL: u64 = 330;
-    /// ClientHello carrying a PSK / session ticket.
-    pub(crate) const CH_PSK: u64 = 560;
-    /// TLS 1.3 server flight with a certificate chain.
-    pub(crate) const SF13_FULL: u64 = 4300;
-    /// TLS 1.3 server flight under PSK (no certificate).
-    pub(crate) const SF13_PSK: u64 = 350;
-    /// Client Finished.
-    pub(crate) const CLIENT_FIN: u64 = 74;
-    /// NewSessionTicket.
-    pub(crate) const NST: u64 = 230;
-    /// TLS 1.2 ServerHello + Certificate + ServerHelloDone.
-    pub(crate) const SF12_FULL: u64 = 3900;
-    /// TLS 1.2 ClientKeyExchange + ChangeCipherSpec + Finished.
-    pub(crate) const CF12: u64 = 340;
-    /// TLS 1.2 server ChangeCipherSpec + Finished.
-    pub(crate) const SFIN12: u64 = 110;
-    /// TLS 1.2 abbreviated ServerHello + CCS + Finished.
-    pub(crate) const SF12_RESUMED: u64 = 280;
-}
-
-// TLS-internal message tags live far above any application tag.
-const TLS_TAG_BASE: u64 = 1 << 62;
-const TAG_CH_FULL13: MsgTag = MsgTag(TLS_TAG_BASE + 1);
-const TAG_CH_PSK13: MsgTag = MsgTag(TLS_TAG_BASE + 2);
-const TAG_CH_FULL12: MsgTag = MsgTag(TLS_TAG_BASE + 3);
-const TAG_CH_RESUMED12: MsgTag = MsgTag(TLS_TAG_BASE + 4);
-const TAG_SF13: MsgTag = MsgTag(TLS_TAG_BASE + 5);
-const TAG_SF13_PSK: MsgTag = MsgTag(TLS_TAG_BASE + 6);
-const TAG_SF12_1: MsgTag = MsgTag(TLS_TAG_BASE + 7);
-const TAG_SF12_RESUMED: MsgTag = MsgTag(TLS_TAG_BASE + 8);
-const TAG_CFIN: MsgTag = MsgTag(TLS_TAG_BASE + 9);
-const TAG_CF12: MsgTag = MsgTag(TLS_TAG_BASE + 10);
-const TAG_SFIN12: MsgTag = MsgTag(TLS_TAG_BASE + 11);
-const TAG_NST: MsgTag = MsgTag(TLS_TAG_BASE + 12);
 
 /// A session ticket usable for resumption with one domain.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -171,12 +121,6 @@ impl Default for TlsConfig {
 /// Events surfaced by [`SecureTcp`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TlsEvent {
-    /// TCP is established (before TLS completes); reported for timing
-    /// breakdowns.
-    TcpEstablished {
-        /// Completion time.
-        at: SimTime,
-    },
     /// The TLS handshake finished on this side.
     HandshakeComplete {
         /// Completion time.
@@ -204,20 +148,6 @@ pub enum TlsEvent {
     },
 }
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum HsState {
-    /// Waiting for the transport (client) or the ClientHello (server).
-    Idle,
-    /// Client: ClientHello sent, awaiting the server flight.
-    AwaitServerFlight,
-    /// Client (TLS 1.2 full): awaiting the server Finished.
-    AwaitServerFinished,
-    /// Server: flight sent, awaiting the client Finished / flight 2.
-    AwaitClientFinish,
-    /// Handshake complete.
-    Ready,
-}
-
 /// A TLS-protected TCP connection endpoint (sans-IO).
 ///
 /// Wraps a [`TcpConnection`]; application messages written with
@@ -227,72 +157,48 @@ enum HsState {
 #[derive(Debug)]
 pub struct SecureTcp {
     tcp: TcpConnection,
-    is_client: bool,
-    version: TlsVersion,
-    resumed: bool,
-    early_data_enabled: bool,
-    used_early_data: bool,
-    state: HsState,
-    ready_to_send: bool,
-    handshake_complete_at: Option<SimTime>,
-    send_ready_at: Option<SimTime>,
-    connect_started_at: Option<SimTime>,
+    hs: Handshake,
+    /// Application messages held until the handshake lets them leave.
     pending_app: VecDeque<(u64, MsgTag)>,
     events: VecDeque<TlsEvent>,
-    nst_sent: bool,
 }
 
 impl SecureTcp {
     /// Creates the client side. Call [`SecureTcp::connect`] to start.
     pub fn client(id: ConnId, tcp: TcpConfig, tls: TlsConfig) -> Self {
-        SecureTcp {
-            tcp: TcpConnection::client(id, tcp),
-            is_client: true,
-            version: tls.version,
-            resumed: tls.ticket.is_some(),
-            early_data_enabled: tls.early_data && tls.version == TlsVersion::Tls13,
-            used_early_data: false,
-            state: HsState::Idle,
-            ready_to_send: false,
-            handshake_complete_at: None,
-            send_ready_at: None,
-            connect_started_at: None,
-            pending_app: VecDeque::new(),
-            events: VecDeque::new(),
-            nst_sent: false,
-        }
+        let hs = Handshake::client(tcp_sizes, tls.version, tls.ticket.is_some(), tls.early_data);
+        Self::new(TcpConnection::client(id, tcp), hs)
     }
 
-    /// Creates the server side; it follows whatever the client offers.
+    /// Creates the server side; it follows whatever the client offers
+    /// and always accepts early data.
     pub fn server(id: ConnId, tcp: TcpConfig) -> Self {
+        Self::new(
+            TcpConnection::server(id, tcp),
+            Handshake::server(tcp_sizes, true),
+        )
+    }
+
+    fn new(tcp: TcpConnection, hs: Handshake) -> Self {
         SecureTcp {
-            tcp: TcpConnection::server(id, tcp),
-            is_client: false,
-            version: TlsVersion::Tls13,
-            resumed: false,
-            early_data_enabled: false,
-            used_early_data: false,
-            state: HsState::Idle,
-            ready_to_send: false,
-            handshake_complete_at: None,
-            send_ready_at: None,
-            connect_started_at: None,
+            tcp,
+            hs,
             pending_app: VecDeque::new(),
             events: VecDeque::new(),
-            nst_sent: false,
         }
     }
 
     /// Starts the TCP + TLS handshake (client side).
     pub fn connect(&mut self, now: SimTime) {
-        self.connect_started_at = Some(now);
+        self.hs.connect(now);
         self.tcp.connect(now);
     }
 
     /// Queues an application message. It is transmitted as soon as the
     /// handshake state allows (immediately under 0-RTT early data).
     pub fn write_app(&mut self, len: u64, tag: MsgTag) {
-        if self.ready_to_send {
+        self.hs.on_app_write();
+        if self.hs.can_send() {
             self.tcp.write_message(len + RECORD_OVERHEAD, tag);
         } else {
             self.pending_app.push_back((len, tag));
@@ -304,36 +210,14 @@ impl SecureTcp {
         self.tcp.conn_id()
     }
 
-    /// Whether the handshake is complete on this side.
-    pub fn is_handshake_complete(&self) -> bool {
-        self.handshake_complete_at.is_some()
+    /// The handshake and its timing record.
+    pub fn handshake(&self) -> &Handshake {
+        &self.hs
     }
 
     /// When the handshake completed, if it has.
     pub fn handshake_complete_at(&self) -> Option<SimTime> {
-        self.handshake_complete_at
-    }
-
-    /// When application data could first leave this side: the TCP
-    /// establishment time under 0-RTT early data, otherwise the TLS
-    /// handshake completion time. This is the HAR `connect` endpoint.
-    pub fn send_ready_at(&self) -> Option<SimTime> {
-        self.send_ready_at
-    }
-
-    /// When `connect` was called (client side).
-    pub fn connect_started_at(&self) -> Option<SimTime> {
-        self.connect_started_at
-    }
-
-    /// Whether this connection resumed a previous session.
-    pub fn was_resumed(&self) -> bool {
-        self.resumed
-    }
-
-    /// Whether application data was sent as 0-RTT early data.
-    pub fn used_early_data(&self) -> bool {
-        self.used_early_data
+        self.hs.handshake_complete_at()
     }
 
     /// Whether the underlying TCP connection closed itself.
@@ -344,11 +228,6 @@ impl SecureTcp {
     /// Why the connection closed, if it did.
     pub fn close_reason(&self) -> Option<CloseReason> {
         self.tcp.close_reason()
-    }
-
-    /// The negotiated TLS version.
-    pub fn version(&self) -> TlsVersion {
-        self.version
     }
 
     /// The underlying TCP connection (diagnostics).
@@ -401,18 +280,19 @@ impl SecureTcp {
         while let Some(ev) = self.tcp.poll_event() {
             match ev {
                 TcpEvent::Established { at } => {
-                    self.events.push_back(TlsEvent::TcpEstablished { at });
-                    if self.is_client && self.state == HsState::Idle {
-                        self.send_client_hello();
-                        if self.ready_to_send && self.send_ready_at.is_none() {
-                            // 0-RTT early data departs as soon as TCP is up.
-                            self.send_ready_at = Some(at);
+                    if self.tcp.is_client() {
+                        let (len, tag) = self.hs.client_hello(at, !self.pending_app.is_empty());
+                        self.tcp.write_message(len, tag);
+                        if self.hs.can_send() {
+                            // 0-RTT: application data rides right behind
+                            // the hello.
+                            self.flush_pending();
                         }
                     }
                 }
                 TcpEvent::Delivered { tag, at } => {
-                    if tag.0 >= TLS_TAG_BASE {
-                        self.on_tls_message(tag, at);
+                    if is_handshake_tag(tag) {
+                        self.on_handshake_message(tag, at);
                     } else {
                         self.events.push_back(TlsEvent::Delivered { tag, at });
                     }
@@ -424,109 +304,18 @@ impl SecureTcp {
         }
     }
 
-    fn send_client_hello(&mut self) {
-        let (tag, len) = match (self.version, self.resumed) {
-            (TlsVersion::Tls13, false) => (TAG_CH_FULL13, sizes::CH_FULL),
-            (TlsVersion::Tls13, true) => (TAG_CH_PSK13, sizes::CH_PSK),
-            (TlsVersion::Tls12, false) => (TAG_CH_FULL12, sizes::CH_FULL),
-            (TlsVersion::Tls12, true) => (TAG_CH_RESUMED12, sizes::CH_PSK),
-        };
-        self.tcp.write_message(len, tag);
-        self.state = HsState::AwaitServerFlight;
-        if self.resumed && self.early_data_enabled {
-            // 0-RTT: application data rides immediately behind the hello.
-            self.ready_to_send = true;
-            self.used_early_data = !self.pending_app.is_empty();
-            self.flush_pending();
-        }
-    }
-
-    fn on_tls_message(&mut self, tag: MsgTag, at: SimTime) {
-        match tag {
-            // ---- server side: ClientHello variants ----
-            TAG_CH_FULL13 if !self.is_client => {
-                self.version = TlsVersion::Tls13;
-                self.tcp.write_message(sizes::SF13_FULL, TAG_SF13);
-                self.ready_to_send = true; // 0.5-RTT data permitted
-                self.state = HsState::AwaitClientFinish;
+    fn on_handshake_message(&mut self, tag: MsgTag, at: SimTime) {
+        for action in self.hs.on_message(tag, at) {
+            match action {
+                Action::Send(len, tag) => self.tcp.write_message(len, tag),
+                Action::Complete => {
+                    self.events.push_back(TlsEvent::HandshakeComplete { at });
+                    self.flush_pending();
+                }
+                Action::TicketReceived => self.events.push_back(TlsEvent::TicketIssued { at }),
+                // A TLS server accepts all early data.
+                Action::EarlyDataRefused => {}
             }
-            TAG_CH_PSK13 if !self.is_client => {
-                self.version = TlsVersion::Tls13;
-                self.resumed = true;
-                self.tcp.write_message(sizes::SF13_PSK, TAG_SF13_PSK);
-                self.ready_to_send = true;
-                self.state = HsState::AwaitClientFinish;
-            }
-            TAG_CH_FULL12 if !self.is_client => {
-                self.version = TlsVersion::Tls12;
-                self.tcp.write_message(sizes::SF12_FULL, TAG_SF12_1);
-                self.state = HsState::AwaitClientFinish;
-            }
-            TAG_CH_RESUMED12 if !self.is_client => {
-                self.version = TlsVersion::Tls12;
-                self.resumed = true;
-                self.tcp
-                    .write_message(sizes::SF12_RESUMED, TAG_SF12_RESUMED);
-                self.ready_to_send = true;
-                self.state = HsState::AwaitClientFinish;
-            }
-            // ---- client side: server flights ----
-            TAG_SF13 | TAG_SF13_PSK if self.is_client => {
-                self.tcp.write_message(sizes::CLIENT_FIN, TAG_CFIN);
-                self.complete_handshake(at);
-            }
-            TAG_SF12_1 if self.is_client => {
-                self.tcp.write_message(sizes::CF12, TAG_CF12);
-                self.state = HsState::AwaitServerFinished;
-            }
-            TAG_SF12_RESUMED if self.is_client => {
-                self.tcp.write_message(sizes::CLIENT_FIN, TAG_CFIN);
-                self.complete_handshake(at);
-            }
-            TAG_SFIN12 if self.is_client => {
-                self.complete_handshake(at);
-            }
-            // ---- server side: client finishes ----
-            TAG_CFIN if !self.is_client => {
-                self.complete_handshake(at);
-                self.issue_ticket();
-            }
-            TAG_CF12 if !self.is_client => {
-                self.tcp.write_message(sizes::SFIN12, TAG_SFIN12);
-                self.complete_handshake(at);
-                self.issue_ticket();
-            }
-            // ---- client side: ticket ----
-            TAG_NST if self.is_client => {
-                self.events.push_back(TlsEvent::TicketIssued { at });
-            }
-            other => {
-                debug_assert!(
-                    false,
-                    "unexpected TLS message {other} (client={})",
-                    self.is_client
-                );
-            }
-        }
-    }
-
-    fn complete_handshake(&mut self, at: SimTime) {
-        if self.handshake_complete_at.is_none() {
-            self.handshake_complete_at = Some(at);
-            if self.send_ready_at.is_none() {
-                self.send_ready_at = Some(at);
-            }
-            self.state = HsState::Ready;
-            self.ready_to_send = true;
-            self.events.push_back(TlsEvent::HandshakeComplete { at });
-            self.flush_pending();
-        }
-    }
-
-    fn issue_ticket(&mut self) {
-        if !self.nst_sent {
-            self.nst_sent = true;
-            self.tcp.write_message(sizes::NST, TAG_NST);
         }
     }
 
@@ -668,8 +457,8 @@ mod tests {
         pipe.a.connect(SimTime::ZERO);
         pipe.a.write_app(100, MsgTag(1));
         pipe.run(200_000);
-        assert!(pipe.b.was_resumed());
-        assert!(pipe.a.used_early_data());
+        assert!(pipe.b.handshake().was_resumed());
+        assert!(pipe.a.handshake().used_early_data());
     }
 
     #[test]
@@ -681,7 +470,7 @@ mod tests {
         });
         pipe.a.connect(SimTime::ZERO);
         pipe.run(200_000);
-        assert!(!pipe.a.used_early_data());
+        assert!(!pipe.a.handshake().used_early_data());
     }
 
     #[test]
@@ -792,7 +581,7 @@ mod tests {
         let mut full = make_pair(TlsConfig::default());
         full.a.connect(SimTime::ZERO);
         full.run(200_000);
-        assert_eq!(full.a.send_ready_at(), Some(ms(2 * RTT_MS)));
+        assert_eq!(full.a.handshake().send_ready_at(), Some(ms(2 * RTT_MS)));
         // 0-RTT: ready at TCP establishment (1 RTT), a full RTT earlier.
         let mut early = make_pair(TlsConfig {
             ticket: Some(ticket()),
@@ -801,7 +590,7 @@ mod tests {
         });
         early.a.connect(SimTime::ZERO);
         early.run(200_000);
-        assert_eq!(early.a.send_ready_at(), Some(ms(RTT_MS)));
+        assert_eq!(early.a.handshake().send_ready_at(), Some(ms(RTT_MS)));
     }
 
     #[test]

@@ -168,8 +168,8 @@ proptest! {
                 .drop_a_to_b(drops.clone())
                 .drop_b_to_a(drops);
             pipe.run(3_000_000);
-            prop_assert!(pipe.a.is_handshake_complete());
-            prop_assert!(pipe.b.is_handshake_complete());
+            prop_assert!(pipe.a.handshake_complete_at().is_some());
+            prop_assert!(pipe.b.handshake_complete_at().is_some());
         } else {
             let cfg = TcpConfig {
                 initial_rtt: SimDuration::from_millis(rtt_ms),
