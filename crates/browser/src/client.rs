@@ -1,7 +1,7 @@
 //! The browser client host: resource scheduling, connection pooling,
 //! session resumption, and HAR emission.
 
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::{BTreeMap, HashMap};
 
 use h3cdn_cdn::locedge;
 use h3cdn_har::{EntryTiming, HarEntry, HarPage};
@@ -18,7 +18,7 @@ use h3cdn_transport::{CcAlgorithm, CloseReason, ConnId, WirePacket};
 use h3cdn_web::{DomainId, Hosting, Resource};
 
 use crate::config::ProtocolMode;
-use crate::host::{Deadlines, PortTable, Tracked};
+use crate::host::{ConnSet, Deadlines, PortTable, Tracked};
 use crate::resilience::{BrokenQuicCache, ResilienceStats};
 
 /// Browsers open at most this many parallel H1 connections per host.
@@ -150,7 +150,7 @@ pub(crate) struct ClientHost {
     /// only release packets in response to input (a packet, a fired
     /// timer, a request), so the pump polls exactly these instead of
     /// scanning every connection per event.
-    dirty: BTreeSet<ConnId>,
+    dirty: ConnSet,
     /// Every connection's deadline, kept equal to `next_timeout()`
     /// whenever control returns to the engine.
     deadlines: Deadlines,
@@ -229,7 +229,7 @@ impl ClientHost {
             h3_races: BTreeMap::new(),
             retry_attempts: BTreeMap::new(),
             resilience: ResilienceStats::default(),
-            dirty: BTreeSet::new(),
+            dirty: ConnSet::default(),
             deadlines: Deadlines::default(),
             pump_round: 0,
         }
@@ -292,9 +292,8 @@ impl ClientHost {
                 self.dirty.insert(id);
             });
         }
-        let due: Vec<SimTime> = self.parked.range(..=now).map(|(&t, _)| t).collect();
-        for t in due {
-            for idx in self.parked.remove(&t).expect("due batch") {
+        while let Some(batch) = self.parked.first_entry().filter(|b| *b.key() <= now) {
+            for idx in batch.remove() {
                 self.dispatch_resolved(idx, now);
             }
         }
@@ -352,7 +351,13 @@ impl ClientHost {
         self.pump_round += 1;
         let mut cursor: Option<ConnId> = None;
         loop {
-            let Some(id) = self.next_dirty(cursor) else {
+            // The smallest dirty id after the cursor that existed when
+            // the current round began.
+            let (conns, round) = (&self.conns, self.pump_round);
+            let next = self.dirty.take_next(cursor, |id| {
+                conns.get(id).is_none_or(|st| st.info.born_round < round)
+            });
+            let Some(id) = next else {
                 if self.dirty.is_empty() {
                     break;
                 }
@@ -362,7 +367,6 @@ impl ClientHost {
                 cursor = None;
                 continue;
             };
-            self.dirty.remove(&id);
             cursor = Some(id);
             // Transmit everything ready on this connection.
             if let Some(st) = self.conns.get_mut(id) {
@@ -383,21 +387,6 @@ impl ClientHost {
                 self.deadlines.rearm(id, st);
             }
         }
-    }
-
-    /// Smallest dirty connection id after `cursor` that existed when the
-    /// current pump round began.
-    fn next_dirty(&self, cursor: Option<ConnId>) -> Option<ConnId> {
-        use std::ops::Bound;
-        let range = match cursor {
-            Some(c) => self.dirty.range((Bound::Excluded(c), Bound::Unbounded)),
-            None => self.dirty.range(..),
-        };
-        range.copied().find(|&id| {
-            self.conns
-                .get(id)
-                .is_none_or(|st| st.info.born_round < self.pump_round)
-        })
     }
 
     fn on_http_event(&mut self, conn_id: ConnId, ev: HttpEvent, now: SimTime) {
@@ -788,6 +777,44 @@ impl ClientHost {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use h3cdn_netsim::NodeId;
+    use std::collections::BTreeSet;
+
+    /// `ConnSet::take_next`, a sorted vector, is the pump's old cursor
+    /// walk over a `BTreeSet<ConnId>`: the smallest id past the cursor
+    /// that is eligible, removed.
+    #[test]
+    fn conn_set_take_next_matches_btreeset_walk() {
+        for seed in 0..200 {
+            let mut rng = SimRng::seed_from(seed);
+            let id = |port: u64| ConnId::new(NodeId::from_raw(0), NodeId::from_raw(1), port as u32);
+            let mut set = ConnSet::default();
+            let mut model: BTreeSet<ConnId> = BTreeSet::new();
+            for _ in 0..200 {
+                if rng.next_below(2) == 0 {
+                    let c = id(rng.next_below(16));
+                    set.insert(c);
+                    model.insert(c);
+                    continue;
+                }
+                let cursor = (rng.next_below(3) > 0).then(|| id(rng.next_below(16)));
+                let skip = rng.next_below(4);
+                let eligible = |c: ConnId| u64::from(c.port) % 4 != skip;
+                let want = model
+                    .iter()
+                    .copied()
+                    .filter(|&c| cursor.is_none_or(|k| c > k))
+                    .find(|&c| eligible(c));
+                if let Some(c) = want {
+                    model.remove(&c);
+                }
+                assert_eq!(set.take_next(cursor, eligible), want, "seed {seed}");
+                assert_eq!(set.is_empty(), model.is_empty());
+            }
+            let rest: Vec<ConnId> = set.drain().collect();
+            assert_eq!(rest, model.into_iter().collect::<Vec<_>>());
+        }
+    }
 
     #[test]
     fn redial_backoff_sequence_is_deterministic_and_capped() {

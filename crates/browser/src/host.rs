@@ -1,8 +1,12 @@
 //! The node enum driven by the `h3cdn-netsim` engine, the
-//! per-connection deadline index both of its hosts wake on, and the
-//! client's connection table.
-
-use std::collections::{BTreeMap, BTreeSet};
+//! per-connection deadline index both of its hosts wake on, their dirty
+//! sets, and the client's connection table.
+//!
+//! A host holds a handful of live deadlines (7.5 on average over a
+//! campaign, 30 at most) and re-arms one after nearly every packet, so
+//! `Deadlines` and `ConnSet` are sorted vectors searched by
+//! bisection: a re-arm shifts a few pairs instead of walking and
+//! rebalancing tree nodes.
 
 use h3cdn_netsim::{Node, NodeCtx, TransportClass};
 use h3cdn_sim_core::SimTime;
@@ -92,12 +96,6 @@ pub(crate) trait TrackedConns<C, X> {
     fn tracked_mut(&mut self, id: ConnId) -> Option<&mut Tracked<C, X>>;
 }
 
-impl<C, X> TrackedConns<C, X> for BTreeMap<ConnId, Tracked<C, X>> {
-    fn tracked_mut(&mut self, id: ConnId) -> Option<&mut Tracked<C, X>> {
-        self.get_mut(&id)
-    }
-}
-
 /// A client's connections in a dense table indexed by port: the client
 /// hands out ports 1, 2, 3, ... and keeps every connection to the end of
 /// its visit, so the connection on port `p` sits at index `p - 1`. A
@@ -153,10 +151,10 @@ impl<C, X> TrackedConns<C, X> for PortTable<C, X> {
 }
 
 /// `(deadline, conn)` pairs mirroring each tracked connection's
-/// `next_timeout()`, ordered by time, then by connection id. A host's
-/// wakeup reads the first key instead of scanning every connection.
+/// `next_timeout()`, sorted by time, then by connection id. A host's
+/// wakeup reads the first pair instead of scanning every connection.
 #[derive(Debug, Default)]
-pub(crate) struct Deadlines(BTreeSet<(SimTime, ConnId)>);
+pub(crate) struct Deadlines(Vec<(SimTime, ConnId)>);
 
 impl Deadlines {
     /// The earliest indexed deadline.
@@ -164,13 +162,15 @@ impl Deadlines {
         self.0.first().map(|&(t, _)| t)
     }
 
+    /// Number of leading pairs due at `now`.
+    fn due_len(&self, now: SimTime) -> usize {
+        self.0.partition_point(|&(t, _)| t <= now)
+    }
+
     /// Connections whose deadline is at or before `now`, by time, then
     /// by id.
     pub fn due(&self, now: SimTime) -> impl Iterator<Item = ConnId> + '_ {
-        self.0
-            .iter()
-            .take_while(move |&&(t, _)| t <= now)
-            .map(|&(_, id)| id)
+        self.0.iter().take(self.due_len(now)).map(|&(_, id)| id)
     }
 
     /// Fires every connection due at `now`, by time, then by id, and
@@ -182,11 +182,8 @@ impl Deadlines {
         conns: &mut impl TrackedConns<C, X>,
         mut fired: impl FnMut(ConnId),
     ) {
-        while let Some(&(t, id)) = self.0.first() {
-            if t > now {
-                break;
-            }
-            self.0.remove(&(t, id));
+        let due = self.due_len(now);
+        for (_, id) in self.0.drain(..due) {
             let Some(st) = conns.tracked_mut(id) else {
                 continue;
             };
@@ -204,11 +201,51 @@ impl Deadlines {
             return;
         }
         if let Some(old) = st.armed.take() {
-            self.0.remove(&(old, id));
+            if let Ok(at) = self.0.binary_search(&(old, id)) {
+                self.0.remove(at);
+            }
         }
         if let Some(t) = fresh {
-            self.0.insert((t, id));
+            if let Err(at) = self.0.binary_search(&(t, id)) {
+                self.0.insert(at, (t, id));
+            }
         }
         st.armed = fresh;
+    }
+}
+
+/// A set of connection ids, ascending: the connections a host's pump
+/// must poll.
+#[derive(Debug, Default)]
+pub(crate) struct ConnSet(Vec<ConnId>);
+
+impl ConnSet {
+    /// Adds `id` unless it is already held.
+    pub fn insert(&mut self, id: ConnId) {
+        if let Err(at) = self.0.binary_search(&id) {
+            self.0.insert(at, id);
+        }
+    }
+
+    /// Whether the set is empty.
+    pub fn is_empty(&self) -> bool {
+        self.0.is_empty()
+    }
+
+    /// Removes and returns the smallest id above `after` (any id when
+    /// `after` is `None`) for which `eligible` holds.
+    pub fn take_next(
+        &mut self,
+        after: Option<ConnId>,
+        mut eligible: impl FnMut(ConnId) -> bool,
+    ) -> Option<ConnId> {
+        let start = after.map_or(0, |c| self.0.partition_point(|&id| id <= c));
+        let at = start + self.0.iter().skip(start).position(|&id| eligible(id))?;
+        Some(self.0.remove(at))
+    }
+
+    /// Removes every id, handing them over ascending.
+    pub fn drain(&mut self) -> impl Iterator<Item = ConnId> + '_ {
+        self.0.drain(..)
     }
 }

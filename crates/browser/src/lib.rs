@@ -1,7 +1,7 @@
 //! The simulated browser: page loading over the full protocol stack.
 //!
 //! This crate plays the role Chrome 108 + chrome-har-capturer play in the
-//! paper's measurement pipeline. A [`client::ClientHost`] drives one page
+//! paper's measurement pipeline. A `client::ClientHost` drives one page
 //! visit: it discovers resources in waves, schedules them onto pooled
 //! H1/H2/H3 connections (per-domain pools, six-connection H1 limit,
 //! single multiplexed H2/H3 connection per domain and version), performs

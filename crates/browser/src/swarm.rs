@@ -4,7 +4,7 @@
 //! This module is the only place a page's network, paths, catalogs,
 //! hosts and engine are assembled. It drives `clients` browsers —
 //! staggered arrivals, one visit each of the same page — against
-//! **one** [`crate::server::ServerHost`] per domain, optionally
+//! **one** `crate::server::ServerHost` per domain, optionally
 //! governed by a finite-resource [`EdgeState`] admission controller.
 //! That is where fallback storms live: an edge past its handshake-CPU
 //! or connection budget refuses new QUIC handshakes, every refused
@@ -313,6 +313,12 @@ pub(crate) fn run_fabric(
             SimHost::Client(c) => client_hosts.push(c),
             SimHost::Server(s) => server_hosts.push(s),
         }
+    }
+    // Test builds check every edge's admit/release ledger once the
+    // visit is over.
+    #[cfg(debug_assertions)]
+    for server in &server_hosts {
+        server.check_edge_balance();
     }
     let mut outcomes = Vec::with_capacity(clients);
     for (client, start) in client_hosts.into_iter().zip(&arrivals) {
@@ -624,6 +630,43 @@ mod tests {
             third.har.entries_with_protocol("h3").count() > 0,
             "expired memory must allow the H3 retry"
         );
+    }
+
+    /// `run_fabric` checks every edge's ledger when a visit ends (test
+    /// builds only): a starved edge that admits some handshakes, refuses
+    /// others and re-runs admission for retransmitted ones must still
+    /// release exactly its closed connections and track exactly the
+    /// rest, whether it sheds QUIC (with and without fallback) or
+    /// refuses TCP into the re-dial backoff.
+    #[test]
+    fn starved_edge_admissions_and_releases_balance() {
+        let corpus = small_corpus();
+        let page = h3_rich_page(&corpus);
+        let tcp_starved = EdgeConfig {
+            cpu_tokens_per_sec: 10,
+            cpu_token_burst: 10,
+            tcp_handshake_tokens: 10,
+            quic_handshake_tokens: 10,
+            ..EdgeConfig::default()
+        };
+        let h2 = VisitConfig::default().with_mode(ProtocolMode::H2Only);
+        for (cfg, edge) in [
+            (VisitConfig::default(), starved_edge()),
+            (
+                VisitConfig::default().with_h3_fallback(true),
+                starved_edge(),
+            ),
+            (h2.with_h3_fallback(true), tcp_starved),
+        ] {
+            let shape = SwarmConfig {
+                clients: 6,
+                arrival_spacing: SimDuration::from_millis(5),
+                edge: Some(edge),
+            };
+            let out = run_swarm(page, &corpus.domains, &cfg, &shape).unwrap();
+            let totals = out.edge_totals();
+            assert!(totals.admitted() > 0 && totals.refused() > 0, "{totals:?}");
+        }
     }
 
     #[test]

@@ -2,8 +2,8 @@
 //! checkpoint/resume, per-job panic isolation, quarantine, and the
 //! sim-event watchdog.
 //!
-//! [`run_keyed_durable`] has the same merge contract as
-//! [`run_keyed`](crate::runner::run_keyed) — jobs are stably sorted by
+//! `run_keyed_durable` has the same merge contract as
+//! [`run_keyed`] — jobs are stably sorted by
 //! key before execution and merged in key order, so output is
 //! bit-identical for every worker count — plus three durability
 //! layers:

@@ -81,7 +81,7 @@ impl EdgeCapacity {
 pub enum ArrivalRate {
     /// Everyone at t = 0 — the thundering herd.
     Herd,
-    /// One client every [`PACED_SPACING`] — the edge's refill keeps up
+    /// One client every `PACED_SPACING` — the edge's refill keeps up
     /// better.
     Paced,
 }

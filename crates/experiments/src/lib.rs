@@ -44,7 +44,7 @@
 //!
 //! The figure/table regenerators themselves live here too, one module
 //! per artifact of the paper's evaluation: each consumes a
-//! [`MeasurementCampaign`](h3cdn::MeasurementCampaign), runs exactly
+//! [`MeasurementCampaign`], runs exactly
 //! the analysis the paper describes, and returns a serialisable result
 //! whose `Display` prints the same rows/series the paper reports.
 //! EXPERIMENTS.md records paper-vs-measured for each. They sit in this

@@ -13,7 +13,7 @@
 //!   streaming runner ([`h3cdn::run_keyed_streaming`]), which delivers
 //!   results to the sink in site order while buffering at most
 //!   `window` completed records;
-//! * the sink folds every record into a [`PopulationAggregator`] —
+//! * the sink folds every record into a `PopulationAggregator` —
 //!   rolling moments ([`Welford`]) and fixed-grid [`QuantileSketch`]es,
 //!   all O(1) per record — and, when the run is checkpointed, appends
 //!   the record to a sharded binary journal

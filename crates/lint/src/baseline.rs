@@ -13,7 +13,7 @@
 //!
 //! The checked-in `crates/lint/baseline.json` records the allowed
 //! counts. The ratchet direction is one-way: a fresh count above the
-//! baseline fails the lint ([`crate::RULE_PANIC_RATCHET`]); a fresh
+//! baseline fails the lint (`crate::RULE_PANIC_RATCHET`); a fresh
 //! count *below* it also fails, with a hint to regenerate
 //! (`h3cdn-lint --update-baseline`), so the recorded floor keeps
 //! ratcheting down as code is cleaned up.

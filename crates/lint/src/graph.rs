@@ -1,24 +1,24 @@
 //! Phase 2 of the workspace analyzer: the cross-crate symbol graph
 //! and the rules that run over it.
 //!
-//! Built from the [`crate::symbols::SymbolTable`] that phase 1
+//! Built from the `crate::symbols::SymbolTable` that phase 1
 //! extracts, this module answers questions no per-file scanner can:
 //!
 //! * **`layer-violation`** — the workspace has an explicit layer map
-//!   ([`LAYERS`]): simulation substrate (sim-core / netsim / transport
+//!   (`LAYERS`): simulation substrate (sim-core / netsim / transport
 //!   / http / web / cdn / har) below the orchestration band (browser /
 //!   core) below the consumer band (experiments / analysis).
 //!   Any `use`/path edge pointing *upward* is a finding: a netsim
 //!   module that quietly imports from the runner would entangle the
 //!   pure simulation with scheduling policy.
 //! * **`hot-path-panic`** — transitive reachability from the
-//!   simulator's dispatch roots ([`HOT_PATH_ROOTS`]:
+//!   simulator's dispatch roots (`HOT_PATH_ROOTS`:
 //!   `Engine::run_until_checked`, `EventQueue::pop*`, and the
 //!   `Driveable` methods of the TCP, TLS and QUIC endpoints)
 //!   to any panic-capable site
 //!   (`unwrap` / `expect` / `panic!`-family / `[idx]` indexing /
 //!   `assert!`-family) inside
-//!   the hot-path crates ([`HOT_PATH_CRATES`]). The reachable surface
+//!   the hot-path crates (`HOT_PATH_CRATES`). The reachable surface
 //!   is held to a per-category budget recorded under the `"hot-path"`
 //!   key of `crates/lint/baseline.json` (ratchet-down only, like the
 //!   per-crate counts); every over-budget finding carries the full

@@ -6,27 +6,27 @@
 //! machine-checked rules over the source tree (a line/token scanner —
 //! deliberately *not* `syn`, so the workspace stays hermetic):
 //!
-//! * **determinism** — [`RULE_UNORDERED_ITER`], [`RULE_WALL_CLOCK`],
-//!   [`RULE_AMBIENT_RNG`], [`RULE_ENV_READ`]: no unordered
+//! * **determinism** — `RULE_UNORDERED_ITER`, `RULE_WALL_CLOCK`,
+//!   `RULE_AMBIENT_RNG`, `RULE_ENV_READ`: no unordered
 //!   `HashMap`/`HashSet` iteration, no wall-clock reads, no ambient
 //!   RNG, no environment reads in sim-affecting crates.
-//! * **sans-IO purity** — [`RULE_SANS_IO`]: the transport / netsim /
+//! * **sans-IO purity** — `RULE_SANS_IO`: the transport / netsim /
 //!   http / sim-core state machines must not touch `std::net`,
 //!   `std::fs`, `std::io` (except `std::io::Error*`) or `std::thread`.
-//! * **panic-surface ratchet** — [`RULE_PANIC_RATCHET`]: per-crate
+//! * **panic-surface ratchet** — `RULE_PANIC_RATCHET`: per-crate
 //!   counts of `.unwrap()`, `.expect(`, `panic!`-family macros and
 //!   `[idx]`-style indexing in library code are checked against
 //!   `crates/lint/baseline.json`, which may only decrease.
-//! * **float hazards** — [`RULE_FLOAT_CMP`], [`RULE_NAN_SORT`]:
+//! * **float hazards** — `RULE_FLOAT_CMP`, `RULE_NAN_SORT`:
 //!   `==`/`!=` against float literals and NaN-unaware
 //!   `partial_cmp`-based sorts in `crates/analysis`.
-//! * **crash-safe artifacts** — [`RULE_RAW_RESULT_WRITE`]: result
+//! * **crash-safe artifacts** — `RULE_RAW_RESULT_WRITE`: result
 //!   artifacts in the campaign/experiment crates must go through
 //!   `h3cdn::persist::atomic_write` (write-temp-fsync-rename), never
 //!   raw `std::fs::write` / `File::create` — a killed process must not
 //!   leave torn results or journals behind.
-//! * **hot-path allocation** — [`RULE_HOT_PATH_ALLOC`]: the files on
-//!   the per-event dispatch path ([`HOT_PATH_FILES`]) must not
+//! * **hot-path allocation** — `RULE_HOT_PATH_ALLOC`: the files on
+//!   the per-event dispatch path (`HOT_PATH_FILES`) must not
 //!   allocate in steady state (`Vec::new`, `vec![]`, `.clone()`,
 //!   `format!`, ...); buffers are pooled or swapped through scratch
 //!   space instead. Cold construction paths opt out with a pragma.
@@ -255,7 +255,7 @@ pub struct Report {
     /// Number of `.rs` files scanned.
     pub files_scanned: usize,
     /// Fresh panic-surface counts per ratchet crate, plus the
-    /// hot-path reachability budget under [`HOT_PATH_BUDGET_KEY`]
+    /// hot-path reachability budget under `HOT_PATH_BUDGET_KEY`
     /// when the graph rules ran.
     pub counts: Baseline,
     /// Symbol-graph summary (zeros when the graph rules were off).

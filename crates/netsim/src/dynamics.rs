@@ -12,7 +12,7 @@
 //! Traces compose with the static [`PathSpec`](crate::PathSpec): the
 //! trace's delay is *added* to the path's propagation delay, its loss is
 //! an *extra* IID drop probability ahead of the path's own loss model,
-//! and its rate feeds a dedicated [`Serializer`] running a configurable
+//! and its rate feeds a dedicated `Serializer` running a configurable
 //! [`QueueDiscipline`] — the varying bottleneck where bufferbloat lives.
 
 use h3cdn_sim_core::units::{ByteCount, DataRate};

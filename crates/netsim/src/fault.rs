@@ -8,17 +8,17 @@
 //! (the adoption-vs-usage gap in *Measuring HTTP/3*). A [`FaultPlan`]
 //! attaches a schedule of such impairments to one directed path:
 //!
-//! * [`FaultKind::Blackout`] — the link is dead; every packet sent during
+//! * `FaultKind::Blackout` — the link is dead; every packet sent during
 //!   the window is dropped regardless of protocol.
-//! * [`FaultKind::UdpBlackhole`] — protocol-selective: packets classified
+//! * `FaultKind::UdpBlackhole` — protocol-selective: packets classified
 //!   [`TransportClass::Udp`] (QUIC) are dropped, TCP passes. Models a
 //!   QUIC-hostile middlebox or an enterprise firewall's default-deny UDP.
-//! * [`FaultKind::LossBurst`] — a transient loss storm: an extra
+//! * `FaultKind::LossBurst` — a transient loss storm: an extra
 //!   independent Bernoulli drop with probability `p` on top of the path's
 //!   configured [`LossModel`](crate::LossModel), only inside the window.
-//! * [`FaultKind::RateCollapse`] — the path's capacity collapses to a
+//! * `FaultKind::RateCollapse` — the path's capacity collapses to a
 //!   trickle for the window (an overloaded edge or a rain-faded last
-//!   mile), modelled as an extra shallow-buffered [`Serializer`].
+//!   mile), modelled as an extra shallow-buffered `Serializer`.
 //!
 //! Every decision is deterministic: windows are fixed instants, and the
 //! only randomness (the loss-burst coin) comes from a [`SimRng`] stream
@@ -36,7 +36,7 @@ use crate::link::Serializer;
 const COLLAPSE_QUEUE_CAPACITY: ByteCount = ByteCount::new(64 * 1500);
 
 /// Coarse transport classification of a packet, used by
-/// protocol-selective faults ([`FaultKind::UdpBlackhole`]).
+/// protocol-selective faults (`FaultKind::UdpBlackhole`).
 ///
 /// The engine obtains this from [`Node::classify`](crate::Node::classify);
 /// packet types that do not override it are [`TransportClass::Other`],

@@ -1,7 +1,7 @@
 //! Path specifications, queue disciplines, and FIFO serialisers.
 //!
 //! A [`PathSpec`] describes one direction of a network path: propagation
-//! delay, an optional bottleneck rate, and a loss model. A [`Serializer`]
+//! delay, an optional bottleneck rate, and a loss model. A `Serializer`
 //! models transmission onto a rate-limited link with a bounded FIFO queue —
 //! this is where queueing delay and tail-drop come from. Every serialiser
 //! runs one of the [`QueueDiscipline`]s: a deep (buffer-bloated) or shallow

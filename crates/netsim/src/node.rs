@@ -57,7 +57,7 @@ pub trait Node {
     fn next_wakeup(&self) -> Option<SimTime>;
 
     /// Classifies an outgoing packet for protocol-selective fault
-    /// injection ([`crate::fault::FaultKind::UdpBlackhole`]). The default
+    /// injection (`crate::fault::FaultKind::UdpBlackhole`). The default
     /// is [`TransportClass::Other`], which only protocol-blind faults
     /// affect; packet types that model real transports should override
     /// this (QUIC datagrams → `Udp`, TCP segments → `Tcp`).

@@ -1,7 +1,7 @@
 //! The QUIC connection state machine: handshake, streams, ACK handling,
 //! loss detection, PTO, and connection-level flow control.
 
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::VecDeque;
 
 use h3cdn_sim_core::{SimDuration, SimTime};
 
@@ -9,7 +9,7 @@ use crate::cc::{CcAlgorithm, CongestionController};
 use crate::conn_id::{ConnId, MsgTag};
 use crate::duplex::Driveable;
 use crate::handshake::{is_handshake_tag, quic_sizes, Action, Handshake, TlsVersion};
-use crate::quic::streams::{RecvStream, SendStream};
+use crate::quic::streams::{RecvStream, SendStream, StreamTable};
 use crate::quic::{Frame, QuicPacket, CRYPTO_STREAM, MAX_PAYLOAD};
 use crate::rtt::RttEstimator;
 use crate::seq_ring::SeqRing;
@@ -162,15 +162,17 @@ pub struct QuicConnection {
     /// window reduction the loss caused.
     rtx_credit: u32,
 
-    send_streams: BTreeMap<u64, SendStream>,
+    /// The handshake's send half ([`CRYPTO_STREAM`]).
+    crypto_send: SendStream,
+    /// The handshake's receive half.
+    crypto_recv: RecvStream,
+    /// Application streams: both halves, scheduling class and both
+    /// flow-control limits, indexed by stream id.
+    streams: StreamTable,
     /// Application streams with pending data (new or retransmission),
-    /// ascending: exactly the ids of `send_streams` other than
-    /// [`CRYPTO_STREAM`] whose `has_pending()` holds, so the scheduler
-    /// never walks a drained stream.
+    /// ascending: exactly the ids of `streams` whose send half
+    /// `has_pending()`, so the scheduler never walks a drained stream.
     active_streams: Vec<u64>,
-    recv_streams: BTreeMap<u64, RecvStream>,
-    /// Scheduling class per stream (lower first); absent means default.
-    stream_priorities: BTreeMap<u64, u8>,
     next_stream_id: u64,
     rr_cursor: u64,
 
@@ -184,12 +186,8 @@ pub struct QuicConnection {
     local_max_data: u64,
     data_received: u64,
     need_max_data: bool,
-    /// Per-stream send limits granted by the peer.
-    peer_stream_limits: BTreeMap<u64, u64>,
-    /// Per-stream receive limits we granted.
-    local_stream_limits: BTreeMap<u64, u64>,
-    /// Streams whose `MAX_STREAM_DATA` update must be sent.
-    need_max_stream_data: std::collections::BTreeSet<u64>,
+    /// Streams whose `MAX_STREAM_DATA` update must be sent, ascending.
+    need_max_stream_data: Vec<u64>,
 
     events: VecDeque<QuicEvent>,
     retransmit_count: u64,
@@ -229,6 +227,7 @@ impl QuicConnection {
         let cc = config.cc.build();
         let rtt = RttEstimator::new(config.initial_rtt);
         let max_data = config.max_data;
+        let streams = StreamTable::new(config.max_stream_data);
         QuicConnection {
             id,
             is_client,
@@ -249,10 +248,10 @@ impl QuicConnection {
             pto_count: 0,
             recovery_start: None,
             rtx_credit: 0,
-            send_streams: BTreeMap::new(),
+            crypto_send: SendStream::default(),
+            crypto_recv: RecvStream::default(),
+            streams,
             active_streams: Vec::new(),
-            recv_streams: BTreeMap::new(),
-            stream_priorities: BTreeMap::new(),
             next_stream_id: 0,
             rr_cursor: 0,
             recv_ranges: Vec::new(),
@@ -264,9 +263,7 @@ impl QuicConnection {
             local_max_data: max_data,
             data_received: 0,
             need_max_data: false,
-            peer_stream_limits: BTreeMap::new(),
-            local_stream_limits: BTreeMap::new(),
-            need_max_stream_data: std::collections::BTreeSet::new(),
+            need_max_stream_data: Vec::new(),
             events: VecDeque::new(),
             retransmit_count: 0,
             frame_pool: Vec::new(),
@@ -314,18 +311,23 @@ impl QuicConnection {
     /// Bytes queued across all send streams (new plus retransmission),
     /// for diagnostics and idle detection.
     pub fn pending_send_bytes(&self) -> u64 {
-        self.send_streams
-            .values()
-            .map(super::streams::SendStream::pending_bytes)
-            .sum()
+        self.crypto_send.pending_bytes()
+            + self
+                .streams
+                .iter()
+                .map(|(_, s)| s.send.pending_bytes())
+                .sum::<u64>()
     }
 
     /// Highest first-transmission offset of `stream` (diagnostics; also
     /// the reference point for its peer flow-control limit).
     pub fn stream_sent_watermark(&self, stream: u64) -> u64 {
-        self.send_streams
-            .get(&stream)
-            .map_or(0, super::streams::SendStream::sent_watermark)
+        if stream == CRYPTO_STREAM {
+            return self.crypto_send.sent_watermark();
+        }
+        self.streams
+            .get(stream)
+            .map_or(0, |s| s.send.sent_watermark())
     }
 
     /// The RTT estimator (diagnostics).
@@ -348,7 +350,7 @@ impl QuicConnection {
     pub fn open_stream(&mut self) -> u64 {
         let id = self.next_stream_id;
         self.next_stream_id += 4;
-        self.send_streams.entry(id).or_default();
+        self.streams.open(id);
         id
     }
 
@@ -356,13 +358,17 @@ impl QuicConnection {
     /// first; unset streams default to class 1). The wire analogue is
     /// HTTP/3's PRIORITY_UPDATE.
     pub fn set_stream_priority(&mut self, stream: u64, priority: u8) {
-        self.stream_priorities.insert(stream, priority);
+        if let Some(s) = self.streams.open(stream) {
+            s.priority = priority;
+        }
     }
 
     /// Writes an application message on `stream`.
     pub fn write_stream(&mut self, stream: u64, len: u64, tag: MsgTag) {
         debug_assert_ne!(stream, CRYPTO_STREAM, "crypto stream is internal");
-        self.send_streams.entry(stream).or_default().write(len, tag);
+        if let Some(s) = self.streams.open(stream) {
+            s.send.write(len, tag);
+        }
         self.index_stream(stream);
         debug_assert!(self.active_index_is_exact(), "stale active-stream index");
         self.hs.on_app_write();
@@ -418,11 +424,9 @@ impl Driveable for QuicConnection {
                     self.peer_max_data = self.peer_max_data.max(max);
                 }
                 Frame::MaxStreamData { id, max } => {
-                    let limit = self
-                        .peer_stream_limits
-                        .entry(id)
-                        .or_insert(self.config.max_stream_data);
-                    *limit = (*limit).max(max);
+                    if let Some(s) = self.streams.open(id) {
+                        s.peer_limit = s.peer_limit.max(max);
+                    }
                 }
                 Frame::ConnectionRefused => {
                     // The server's admission controller shed this
@@ -466,16 +470,12 @@ impl Driveable for QuicConnection {
             budget -= 9;
             rtx_info.push(RtxInfo::MaxData);
         }
-        while budget >= 13 {
-            let Some(&id) = self.need_max_stream_data.iter().next() else {
-                break;
-            };
-            self.need_max_stream_data.remove(&id);
+        while budget >= 13 && !self.need_max_stream_data.is_empty() {
+            let id = self.need_max_stream_data.remove(0);
             let max = self
-                .local_stream_limits
-                .get(&id)
-                .copied()
-                .unwrap_or(self.config.max_stream_data);
+                .streams
+                .get(id)
+                .map_or(self.config.max_stream_data, |s| s.local_limit);
             frames.push(Frame::MaxStreamData { id, max });
             budget -= 13;
             rtx_info.push(RtxInfo::MaxStreamData { id });
@@ -491,27 +491,26 @@ impl Driveable for QuicConnection {
             self.cc.window().saturating_sub(self.bytes_in_flight)
         };
         let mut data_room = cwnd_room;
-        if let Some(crypto) = self.send_streams.get_mut(&CRYPTO_STREAM) {
-            while budget > 12 && data_room > 12 {
-                let Some((offset, len, markers)) =
-                    crypto.take((budget - 12).min(data_room.saturating_sub(12)))
-                else {
-                    break;
-                };
-                budget -= 12 + len;
-                data_room = data_room.saturating_sub(12 + len);
-                rtx_info.push(RtxInfo::Stream {
-                    id: CRYPTO_STREAM,
-                    offset,
-                    len,
-                });
-                frames.push(Frame::Stream {
-                    id: CRYPTO_STREAM,
-                    offset,
-                    len,
-                    markers,
-                });
-            }
+        while budget > 12 && data_room > 12 {
+            let Some((offset, len, markers)) = self
+                .crypto_send
+                .take((budget - 12).min(data_room.saturating_sub(12)))
+            else {
+                break;
+            };
+            budget -= 12 + len;
+            data_room = data_room.saturating_sub(12 + len);
+            rtx_info.push(RtxInfo::Stream {
+                id: CRYPTO_STREAM,
+                offset,
+                len,
+            });
+            frames.push(Frame::Stream {
+                id: CRYPTO_STREAM,
+                offset,
+                len,
+                markers,
+            });
         }
 
         if self.hs.can_send() {
@@ -521,8 +520,8 @@ impl Driveable for QuicConnection {
             // top class. First pass: the top (minimum) class among
             // streams with pending data.
             let mut top: Option<u8> = None;
-            for id in &self.active_streams {
-                let prio = self.stream_priorities.get(id).copied().unwrap_or(1);
+            for &id in &self.active_streams {
+                let prio = self.streams.get(id).map_or(1, |s| s.priority);
                 top = Some(top.map_or(prio, |t| t.min(prio)));
             }
             // Second pass: the top class's stream ids (ascending, the
@@ -531,13 +530,13 @@ impl Driveable for QuicConnection {
             ids.clear();
             let mut total_pending = 0u64;
             if let Some(top) = top {
-                for id in &self.active_streams {
-                    if self.stream_priorities.get(id).copied().unwrap_or(1) == top {
-                        ids.push(*id);
-                        total_pending += self
-                            .send_streams
-                            .get(id)
-                            .map_or(0, SendStream::pending_bytes);
+                for &id in &self.active_streams {
+                    let Some(s) = self.streams.get(id) else {
+                        continue;
+                    };
+                    if s.priority == top {
+                        ids.push(id);
+                        total_pending += s.send.pending_bytes();
                     }
                 }
             }
@@ -557,23 +556,20 @@ impl Driveable for QuicConnection {
                 let mut visited = 0;
                 while visited < ids.len() && budget > 12 && app_room > 12 {
                     let Some(&id) = ids.get(i) else { break };
-                    let flow_limit = self
-                        .peer_stream_limits
-                        .get(&id)
-                        .copied()
-                        .unwrap_or(self.config.max_stream_data);
-                    let Some(stream) = self.send_streams.get_mut(&id) else {
+                    let Some(stream) = self.streams.get_mut(id) else {
                         // A listed id without a stream entry cannot occur
-                        // (the index holds only send_streams' keys); skip
-                        // it rather than panic.
+                        // (the index holds only the table's ids); skip it
+                        // rather than panic.
                         i = (i + 1) % ids.len().max(1);
                         visited += 1;
                         continue;
                     };
-                    if let Some((offset, len, markers)) =
-                        stream.take_limited((budget - 12).min(app_room - 12), flow_limit)
+                    let flow_limit = stream.peer_limit;
+                    if let Some((offset, len, markers)) = stream
+                        .send
+                        .take_limited((budget - 12).min(app_room - 12), flow_limit)
                     {
-                        let drained = !stream.has_pending();
+                        let drained = !stream.send.has_pending();
                         budget -= 12 + len;
                         app_room -= (12 + len).min(app_room);
                         stream_payload += len;
@@ -737,10 +733,7 @@ impl QuicConnection {
     }
 
     fn crypto_write(&mut self, len: u64, tag: MsgTag) {
-        self.send_streams
-            .entry(CRYPTO_STREAM)
-            .or_default()
-            .write(len, tag);
+        self.crypto_send.write(len, tag);
     }
 
     fn on_stream_frame(
@@ -751,28 +744,30 @@ impl QuicConnection {
         markers: &[(u64, MsgTag)],
         now: SimTime,
     ) {
-        let stream = self.recv_streams.entry(id).or_default();
-        let before = stream.delivered_bytes();
-        let fired = stream.on_frame(offset, len, markers, now);
-        let advanced = stream.delivered_bytes() - before;
-        if id != CRYPTO_STREAM {
-            self.data_received += advanced;
+        let fired = if id == CRYPTO_STREAM {
+            self.crypto_recv.on_frame(offset, len, markers, now)
+        } else {
+            let Some(stream) = self.streams.open(id) else {
+                return;
+            };
+            let before = stream.recv.delivered_bytes();
+            let fired = stream.recv.on_frame(offset, len, markers, now);
+            let delivered = stream.recv.delivered_bytes();
+            let window = self.config.max_stream_data;
+            let credit_low = stream.local_limit - delivered < window / 2;
+            if credit_low {
+                stream.local_limit = delivered + window;
+            }
+            self.data_received += delivered - before;
             if self.local_max_data - self.data_received < self.config.max_data / 2 {
                 self.local_max_data = self.data_received + self.config.max_data;
                 self.need_max_data = true;
             }
-            // `before + advanced` IS the stream's delivered count — no
-            // second map lookup needed.
-            let delivered = before + advanced;
-            let limit = self
-                .local_stream_limits
-                .entry(id)
-                .or_insert(self.config.max_stream_data);
-            if *limit - delivered < self.config.max_stream_data / 2 {
-                *limit = delivered + self.config.max_stream_data;
-                self.need_max_stream_data.insert(id);
+            if credit_low {
+                self.need_stream_credit(id);
             }
-        }
+            fired
+        };
         for (tag, at) in fired {
             if is_handshake_tag(tag) {
                 self.on_crypto_message(tag, at);
@@ -980,17 +975,17 @@ impl QuicConnection {
     fn requeue(&mut self, mut frames: Vec<RtxInfo>) {
         for f in frames.drain(..) {
             match f {
+                RtxInfo::Stream { id, offset, len } if id == CRYPTO_STREAM => {
+                    self.crypto_send.requeue(offset, len);
+                }
                 RtxInfo::Stream { id, offset, len } => {
-                    self.send_streams
-                        .entry(id)
-                        .or_default()
-                        .requeue(offset, len);
+                    if let Some(s) = self.streams.open(id) {
+                        s.send.requeue(offset, len);
+                    }
                     self.index_stream(id);
                 }
                 RtxInfo::MaxData => self.need_max_data = true,
-                RtxInfo::MaxStreamData { id } => {
-                    self.need_max_stream_data.insert(id);
-                }
+                RtxInfo::MaxStreamData { id } => self.need_stream_credit(id),
             }
         }
         reclaim_rtx(&mut self.rtx_pool, frames);
@@ -1000,13 +995,7 @@ impl QuicConnection {
     /// Adds `id` to the active-stream index once its send stream has
     /// pending data, and drops it once the stream drained.
     fn index_stream(&mut self, id: u64) {
-        if id == CRYPTO_STREAM {
-            return;
-        }
-        let pending = self
-            .send_streams
-            .get(&id)
-            .is_some_and(SendStream::has_pending);
+        let pending = self.streams.get(id).is_some_and(|s| s.send.has_pending());
         match (self.active_streams.binary_search(&id), pending) {
             (Err(at), true) => self.active_streams.insert(at, id),
             (Ok(at), false) => {
@@ -1019,11 +1008,18 @@ impl QuicConnection {
     /// Whether `active_streams` lists exactly the application streams
     /// with pending data, ascending.
     fn active_index_is_exact(&self) -> bool {
-        self.send_streams
+        self.streams
             .iter()
-            .filter(|&(&id, s)| id != CRYPTO_STREAM && s.has_pending())
-            .map(|(&id, _)| id)
+            .filter(|(_, s)| s.send.has_pending())
+            .map(|(id, _)| id)
             .eq(self.active_streams.iter().copied())
+    }
+
+    /// Queues a `MAX_STREAM_DATA` update for stream `id`.
+    fn need_stream_credit(&mut self, id: u64) {
+        if let Err(at) = self.need_max_stream_data.binary_search(&id) {
+            self.need_max_stream_data.insert(at, id);
+        }
     }
 
     fn pto_deadline(&self) -> Option<SimTime> {

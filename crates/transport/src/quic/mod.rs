@@ -24,6 +24,14 @@
 //! Simplifications: no connection migration, no stateless retry, and no
 //! explicit key phases — none of which the paper's metrics are sensitive
 //! to.
+//!
+//! Per-packet state is flat. Sent packets sit in a ring ordered by
+//! packet number (`SeqRing`). Every application stream is client-opened
+//! and bidirectional, so its id is a multiple of 4 and its state (both
+//! halves, scheduling class, and the limit each side granted) sits at
+//! index `id / 4` of one dense table; the crypto stream keeps its own
+//! send and receive halves. The scheduler's per-packet priority, limit
+//! and stream lookups are array reads.
 
 mod connection;
 mod streams;
@@ -75,7 +83,7 @@ impl QuicPacket {
 /// Frames carried by [`QuicPacket`]s.
 #[derive(Debug, Clone)]
 pub enum Frame {
-    /// Ordered bytes of one stream ([`CRYPTO_STREAM`] carries the
+    /// Ordered bytes of one stream (`CRYPTO_STREAM` carries the
     /// handshake).
     Stream {
         /// Stream id.

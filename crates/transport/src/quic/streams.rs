@@ -165,6 +165,85 @@ impl RecvStream {
     }
 }
 
+/// One application stream: its two halves, its scheduling class and
+/// both directions' flow-control limits.
+#[derive(Debug)]
+pub(crate) struct StreamState {
+    pub send: SendStream,
+    pub recv: RecvStream,
+    /// Scheduling class (lower values are sent first).
+    pub priority: u8,
+    /// Send limit the peer granted (its `MAX_STREAM_DATA`).
+    pub peer_limit: u64,
+    /// Receive limit this side granted.
+    pub local_limit: u64,
+}
+
+/// A connection's application streams in one dense table. Streams are
+/// client-initiated and bidirectional, so their ids are 0, 4, 8, ...,
+/// handed out in order, and stream `id` sits at index `id / 4`: every
+/// per-packet lookup is an array read. A stream's slot appears, with
+/// class 1 and both limits at the configured window, the first time
+/// either side names it.
+#[derive(Debug)]
+pub(crate) struct StreamTable {
+    slots: Vec<StreamState>,
+    /// Both flow-control limits of a new stream.
+    window: u64,
+}
+
+impl StreamTable {
+    /// An empty table whose streams start with `window` bytes of
+    /// flow-control credit each way.
+    pub fn new(window: u64) -> Self {
+        StreamTable {
+            slots: Vec::new(),
+            window,
+        }
+    }
+
+    fn index(id: u64) -> Option<usize> {
+        debug_assert_eq!(
+            id % 4,
+            0,
+            "stream {id} is not client-initiated bidirectional"
+        );
+        usize::try_from(id / 4).ok()
+    }
+
+    /// Stream `id`, if either side has named it.
+    pub fn get(&self, id: u64) -> Option<&StreamState> {
+        self.slots.get(Self::index(id)?)
+    }
+
+    /// Stream `id`, mutably, if either side has named it.
+    pub fn get_mut(&mut self, id: u64) -> Option<&mut StreamState> {
+        self.slots.get_mut(Self::index(id)?)
+    }
+
+    /// Stream `id`, opened (with every lower id) if no side named it
+    /// yet; `None` only for an id past the address space.
+    pub fn open(&mut self, id: u64) -> Option<&mut StreamState> {
+        let at = Self::index(id)?;
+        if at >= self.slots.len() {
+            let window = self.window;
+            self.slots.resize_with(at + 1, || StreamState {
+                send: SendStream::default(),
+                recv: RecvStream::default(),
+                priority: 1,
+                peer_limit: window,
+                local_limit: window,
+            });
+        }
+        self.slots.get_mut(at)
+    }
+
+    /// Every stream, ascending by id.
+    pub fn iter(&self) -> impl Iterator<Item = (u64, &StreamState)> {
+        (0u64..).step_by(4).zip(&self.slots)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

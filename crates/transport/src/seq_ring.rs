@@ -109,10 +109,22 @@ impl<V> SeqRing<V> {
         self.entries.iter().map(|(k, v)| (*k, v))
     }
 
-    /// Keeps the entries for which `keep` holds, visiting them in
-    /// ascending key order.
-    pub(crate) fn retain(&mut self, mut keep: impl FnMut(u64, &mut V) -> bool) {
-        self.entries.retain_mut(|(k, v)| keep(*k, v));
+    /// Keeps every entry keyed at or above `limit`, unvisited, and the
+    /// entries below it for which `keep` holds, visiting those in
+    /// ascending key order. Only the prefix below `limit` is walked.
+    pub(crate) fn retain_below(&mut self, limit: u64, mut keep: impl FnMut(u64, &mut V) -> bool) {
+        let end = self.lower_bound(limit);
+        let mut kept = 0;
+        for read in 0..end {
+            let Some((key, value)) = self.entries.get_mut(read) else {
+                break;
+            };
+            if keep(*key, value) {
+                self.entries.swap(kept, read);
+                kept += 1;
+            }
+        }
+        self.entries.drain(kept..end);
     }
 
     /// Removes every entry whose key lies in one of `ranges`, handing
@@ -187,8 +199,9 @@ mod tests {
     /// The ring is a `BTreeMap` under the operations TCP's in-flight
     /// segments and send markers put it through: appends of new data,
     /// re-inserts of a retransmission in mid-sequence, removals by key,
-    /// front pops up to a cumulative ACK, back pops (tail-loss probes)
-    /// and marker range queries.
+    /// front pops up to a cumulative ACK, back pops (tail-loss probes),
+    /// SACK passes below the highest SACKed byte and marker range
+    /// queries.
     #[test]
     fn seq_ring_matches_btreemap_model() {
         for seed in 0..64 {
@@ -197,7 +210,7 @@ mod tests {
             let mut model = BTreeMap::new();
             let mut next = 0u64;
             for step in 0..600u64 {
-                match rng.next_below(9) {
+                match rng.next_below(10) {
                     // New data: a key above every key sent so far.
                     0..=2 => {
                         next += rng.range_inclusive(1, 1460);
@@ -228,6 +241,28 @@ mod tests {
                     }
                     6 => assert_eq!(ring.pop_last(), model.pop_last()),
                     7 => assert_eq!(ring.pop_first(), model.pop_first()),
+                    // A SACK pass: `retain` with the limit folded into
+                    // the predicate, which must visit the same entries
+                    // in the same order and drop the same ones. The
+                    // limit is a held key half the time.
+                    8 => {
+                        let limit = held_or_random(&mut rng, &model, next);
+                        let salt = rng.next_below(3);
+                        let keep = |k: u64, v: u64| (k ^ v) % 3 != salt;
+                        let mut visited = Vec::new();
+                        ring.retain_below(limit, |k, v| {
+                            visited.push((k, *v));
+                            keep(k, *v)
+                        });
+                        let mut want = Vec::new();
+                        model.retain(|&k, v| {
+                            k >= limit || {
+                                want.push((k, *v));
+                                keep(k, *v)
+                            }
+                        });
+                        assert_eq!(visited, want, "retain_below {limit}: visits");
+                    }
                     _ => {
                         // `markers_in_range(seq, len)` asks for
                         // `seq + 1 ..= seq + len`; either end is a held

@@ -665,10 +665,13 @@ impl TcpConnection {
         let Some(highest_sacked) = sack.iter().map(|&(_, end)| end).max() else {
             return;
         };
+        // Segments are never empty, so a segment that a block covers, or
+        // that ends at or below the highest SACKed byte, starts below
+        // it: both passes walk only that prefix of the in-flight ring.
         // 1. Remove segments fully covered by a SACK block, in ascending
         //    order: they were delivered and no longer occupy the pipe.
         let (cc, bytes_in_flight) = (&mut self.cc, &mut self.bytes_in_flight);
-        self.in_flight.retain(|seq, seg| {
+        self.in_flight.retain_below(highest_sacked, |seq, seg| {
             let sacked = sack
                 .iter()
                 .any(|&(lo, hi)| seq >= lo && seq + seg.len <= hi);
@@ -690,7 +693,7 @@ impl TcpConnection {
         let reorder_window = 3 * self.config.mss;
         let (rtx_queue, bytes_in_flight) = (&mut self.rtx_queue, &mut self.bytes_in_flight);
         let mut holes = 0;
-        self.in_flight.retain(|seq, seg| {
+        self.in_flight.retain_below(highest_sacked, |seq, seg| {
             let end = seq + seg.len;
             let by_sequence = end <= highest_sacked && highest_sacked - end >= reorder_window;
             let by_time = end <= highest_sacked && seg.sent_at + loss_delay <= now;
@@ -778,6 +781,7 @@ impl TcpConnection {
     }
 
     fn track_sent(&mut self, seq: u64, len: u64, now: SimTime, retransmitted: bool) {
+        debug_assert!(len > 0, "an empty segment is never tracked");
         self.in_flight.insert(
             seq,
             SentSegment {

@@ -17,10 +17,11 @@
 # paper-scale output pin
 # (`repro_all --pages 325` must reproduce results/repro_full.txt byte
 # for byte), the perfbench smoke (every workload's output checks and
-# seed-1 digests at the tiny scale), clippy with warnings denied, the
-# h3cdn-lint workspace analyzer (determinism / sans-IO / panic ratchet
-# / layering / hot-path reachability / seed plumbing / dead API), and
-# a formatting check.
+# seed-1 digests at the tiny scale), clippy with warnings denied,
+# rustdoc with warnings denied (a broken or private intra-doc link
+# fails), the h3cdn-lint workspace analyzer (determinism / sans-IO /
+# panic ratchet / layering / hot-path reachability / seed plumbing /
+# dead API), and a formatting check.
 #
 # Every stage is wall-clock timed and a per-stage summary prints at
 # the end. The lint stage writes its machine-readable report to
@@ -147,6 +148,10 @@ finish
 
 begin "cargo clippy -D warnings"
 cargo clippy --all-targets --workspace -- -D warnings
+finish
+
+begin "cargo doc -D warnings"
+RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace
 finish
 
 begin "h3cdn-lint (workspace analyzer + JSON artifact)"
